@@ -6,6 +6,9 @@
  * L1-miss transactions, and workload generation throughput.
  */
 
+#include <memory>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "cache/set_assoc.hh"
@@ -319,36 +322,86 @@ BM_HolderVecChurn(benchmark::State &state)
 BENCHMARK(BM_HolderVecChurn)->Arg(4)->Arg(8)->Arg(16);
 
 void
-BM_SortedCoreVecContains(benchmark::State &state)
-{
-    // SharerList's tracked-identity probe (binary search, inline).
-    SortedCoreVec v;
-    for (CoreId c = 0; c < 8; ++c)
-        v.insert(static_cast<CoreId>(c * 7));
-    CoreId probe = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(v.contains(probe));
-        probe = static_cast<CoreId>((probe + 3) & 63);
-    }
-}
-BENCHMARK(BM_SortedCoreVecContains);
-
-void
 BM_LimitedClassifierRemoteAccess(benchmark::State &state)
 {
     auto cfg = microCfg();
     LimitedClassifier cls(cfg, false);
-    auto st = cls.makeState();
-    cls.classify(*st, 0);
-    cls.onPrivateRemoval(*st, 0, 1, RemovalKind::Invalidation);
+    std::vector<CoreLocality> recs(cls.recordsPerLine());
+    const LineRecords st(recs.data(), cls.recordsPerLine());
+    cls.classify(st, 0);
+    cls.onPrivateRemoval(st, 0, 1, RemovalKind::Invalidation);
     RemoteAccessContext ctx{100, false, 50};
     for (auto _ : state) {
-        benchmark::DoNotOptimize(cls.onRemoteAccess(*st, 0, ctx));
+        benchmark::DoNotOptimize(cls.onRemoteAccess(st, 0, ctx));
         // Reset the counter so the benchmark stays on the hot path.
-        cls.onWriteByOther(*st, 5);
+        cls.onWriteByOther(st, 5);
     }
 }
 BENCHMARK(BM_LimitedClassifierRemoteAccess);
+
+/** 4-core system with Table 1 caches, for the L2 fill micros. */
+SystemConfig
+fillCfg()
+{
+    SystemConfig c;
+    c.numCores = 4;
+    c.meshWidth = 2;
+    c.clusterSize = 2;
+    c.numMemControllers = 2;
+    return c;
+}
+
+void
+BM_L2FirstTouchFill(benchmark::State &state)
+{
+    // A read of a line nothing has touched yet: L1 miss, DRAM fetch,
+    // and a fill into a never-used slot of core 0's L2 slice (the
+    // line's private-page home) — the path the warm-up coverage sweep
+    // takes for every footprint line. The system is rebuilt, untimed,
+    // before its slots run out (1024 fills into 4096 slots).
+    constexpr std::uint32_t kFills = 1024;
+    const Addr base = Addr{1} << 33;
+    std::unique_ptr<Multicore> m;
+    std::uint32_t n = kFills;
+    for (auto _ : state) {
+        if (n == kFills) {
+            state.PauseTiming();
+            m = std::make_unique<Multicore>(fillCfg());
+            m->setFunctionalChecks(false);
+            n = 0;
+            state.ResumeTiming();
+        }
+        m->testAccess(0, base + Addr{n++} * 64, false);
+    }
+}
+BENCHMARK(BM_L2FirstTouchFill);
+
+void
+BM_L2RefillTransaction(benchmark::State &state)
+{
+    // Core 0 cycles over assoc + 1 lines that share one L1-D set and
+    // one set of its L2 slice: every read misses both, evicts the L2
+    // set's LRU line (clearing its slot) and refills that slot from
+    // DRAM — the steady-state L2 slot churn.
+    const SystemConfig cfg = fillCfg();
+    Multicore m(cfg);
+    m.setFunctionalChecks(false);
+    const L2Cache &l2 = m.tile(0).l2;
+    const LineAddr first = (Addr{1} << 33) / cfg.lineSize;
+    std::vector<Addr> lines;
+    for (LineAddr l = first; lines.size() <= cfg.l2Assoc;
+         l += cfg.l1dSets())
+        if (l2.setIndex(l) == l2.setIndex(first))
+            lines.push_back(l * cfg.lineSize);
+    for (const Addr a : lines) // first touch: core 0 owns the pages
+        m.testAccess(0, a, false);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        m.testAccess(0, lines[i], false);
+        i = i + 1 == lines.size() ? 0 : i + 1;
+    }
+}
+BENCHMARK(BM_L2RefillTransaction);
 
 void
 BM_L1HitPath(benchmark::State &state)

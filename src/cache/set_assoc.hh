@@ -14,9 +14,12 @@
  * the contiguous words they need instead of striding over full
  * entries, and line data lives in one per-cache arena indexed by
  * (set, way), so constructing a cache performs a fixed handful of
- * allocations instead of one heap vector per line. Callers address an
- * individual line through the lightweight Entry handle (cache pointer
- * + slot index) returned by find()/victimFor().
+ * allocations instead of one heap vector per line. An optional
+ * per-slot record arena (the L2 directory's locality-classifier
+ * records, protocol/dir_entry.hh) follows the same layout: slot i owns
+ * records [i*r, (i+1)*r). Callers address an individual line through
+ * the lightweight Entry handle (cache pointer + slot index) returned
+ * by find()/victimFor().
  */
 
 #ifndef LACC_CACHE_SET_ASSOC_HH
@@ -27,6 +30,7 @@
 #include <vector>
 
 #include "sim/log.hh"
+#include "sim/span.hh"
 #include "sim/types.hh"
 
 namespace lacc {
@@ -36,10 +40,10 @@ enum class L1State : std::uint8_t { Invalid, Shared, Exclusive, Modified };
 
 /**
  * Meta reset applied by SetAssocCache::invalidate. The default is a
- * plain value reset; meta types that own reusable allocations (the L2
- * directory meta's classifier state, protocol/dir_entry.hh) provide
- * an overload found by ADL that clears protocol state while keeping
- * the allocations for the next fill.
+ * plain value reset; meta types with per-system configuration (the L2
+ * directory meta's sharer organization, protocol/dir_entry.hh)
+ * provide an overload found by ADL that clears protocol state while
+ * keeping the configuration for the next fill.
  */
 template <typename Meta>
 inline void
@@ -61,6 +65,10 @@ l1StateName(L1State s)
     }
 }
 
+/** Record type of a cache without a record arena (the L1s). */
+struct NoRecord
+{};
+
 /**
  * A set-associative array of cache lines with payload Meta.
  *
@@ -68,8 +76,10 @@ l1StateName(L1State s)
  * @tparam kHashSet if true, the set index is a hash of the line address
  *                  (used by L2 slices, where home interleaving would
  *                  otherwise leave set-index bits degenerate)
+ * @tparam Record   element of the per-slot record arena, sized by
+ *                  setRecordsPerLine() (empty until then)
  */
-template <typename Meta, bool kHashSet = false>
+template <typename Meta, bool kHashSet = false, typename Record = NoRecord>
 class SetAssocCache
 {
   public:
@@ -79,7 +89,8 @@ class SetAssocCache
      * default-constructed handle is "null" (find() miss) and tests
      * false. Accessors read/write the cache's parallel arrays; words()
      * exposes this line's wordsPerLine()-sized slice of the data
-     * arena.
+     * arena and records() its recordsPerLine()-sized slice of the
+     * record arena.
      */
     class Entry
     {
@@ -131,6 +142,24 @@ class SetAssocCache
             std::fill_n(words(), c_->wordsPerLine_, std::uint64_t{0});
         }
 
+        /** This line's slice of the record arena. */
+        Span<Record>
+        records() const
+        {
+            return Span<Record>(
+                c_->records_.data() +
+                    static_cast<std::size_t>(i_) * c_->recordsPerLine_,
+                c_->recordsPerLine_);
+        }
+
+        /** Return this line's records to Record{}. */
+        void
+        clearRecords() const
+        {
+            for (Record &r : records())
+                r = Record{};
+        }
+
       private:
         friend class SetAssocCache;
         Entry(SetAssocCache *c, std::size_t i) : c_(c), i_(i) {}
@@ -161,6 +190,19 @@ class SetAssocCache
     std::uint32_t numSets() const { return sets_; }
     std::uint32_t assoc() const { return assoc_; }
     std::uint32_t wordsPerLine() const { return wordsPerLine_; }
+    std::uint32_t recordsPerLine() const { return recordsPerLine_; }
+
+    /**
+     * Size the record arena to @p r records per slot, every record
+     * Record{}. One allocation for the whole cache; called once, by
+     * the owner of the record semantics, before the cache is used.
+     */
+    void
+    setRecordsPerLine(std::uint32_t r)
+    {
+        recordsPerLine_ = r;
+        records_.assign(valid_.size() * r, Record{});
+    }
 
     /** Set index for a line address. */
     std::uint32_t
@@ -247,7 +289,11 @@ class SetAssocCache
         return any ? min_t : 0;
     }
 
-    /** Reset an entry to invalid (metadata reset via resetCacheMeta). */
+    /**
+     * Reset an entry to invalid (metadata reset via resetCacheMeta).
+     * The slot's data and records are cleared too, so the next fill
+     * starts from exactly the state of a never-used slot.
+     */
     void
     invalidate(Entry e)
     {
@@ -256,6 +302,7 @@ class SetAssocCache
         e.setLastAccess(0);
         resetCacheMeta(e.meta());
         e.clearWords();
+        e.clearRecords();
     }
 
     /** Apply @p fn to an Entry handle for every slot (valid or not). */
@@ -302,6 +349,7 @@ class SetAssocCache
     std::uint32_t sets_;
     std::uint32_t assoc_;
     std::uint32_t wordsPerLine_;
+    std::uint32_t recordsPerLine_ = 0;
 
     // Parallel tag-store arrays (index = set * assoc + way).
     std::vector<std::uint8_t> valid_;
@@ -310,6 +358,8 @@ class SetAssocCache
     std::vector<Meta> meta_;
     /** Line-data arena: slot i owns words [i*wpl, (i+1)*wpl). */
     std::vector<std::uint64_t> words_;
+    /** Record arena: slot i owns records [i*r, (i+1)*r). */
+    std::vector<Record> records_;
 };
 
 /**

@@ -60,7 +60,7 @@ LocalityClassifier::removalDecision(CoreLocality &e,
         // Eviction signals cache-set pressure: raise RAT one level, up
         // to RATmax (§3.3). Invalidations leave the level unchanged
         // (the freed way relieves pressure).
-        if (nRatLevels_ > 0 && e.ratLevel + 1 < nRatLevels_)
+        if (nRatLevels_ > 0 && e.ratLevel + 1u < nRatLevels_)
             ++e.ratLevel;
     }
     return Mode::Remote;

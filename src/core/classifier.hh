@@ -2,10 +2,12 @@
  * @file
  * Locality classifier interface (Sections 3.2-3.4).
  *
- * The directory keeps, per cache line, a classifier state object that
- * decides for each core whether it is a *private* sharer (handed full
- * line copies) or a *remote* sharer (serviced by word accesses at the
- * shared L2 home). Three implementations are provided:
+ * The directory keeps, per cache line, a fixed number of locality
+ * records (LocalityClassifier::recordsPerLine()) from which the
+ * classifier decides for each core whether it is a *private* sharer
+ * (handed full line copies) or a *remote* sharer (serviced by word
+ * accesses at the shared L2 home). Three implementations are
+ * provided:
  *
  *  - CompleteClassifier: mode / remote-utilization / RAT-level for
  *    every core (Fig 6 with RAT levels replacing timestamps, §3.3);
@@ -25,26 +27,48 @@
 #include <memory>
 
 #include "sim/config.hh"
+#include "sim/span.hh"
 #include "sim/types.hh"
 
 namespace lacc {
 
-/** Per-core locality record kept at the directory (Figs 6-7). */
+/**
+ * One locality record kept at the directory (Figs 6-7). Records live
+ * in the L2 slice's record arena, recordsPerLine() per line
+ * (cache/set_assoc.hh); a fresh record is CoreLocality{}. Packed to
+ * 16 bytes so Limited_3's records cost 48 bytes per L2 line.
+ */
 struct CoreLocality
 {
-    Mode mode = Mode::Private;    //!< P/R bit
-    std::uint32_t remoteUtil = 0; //!< remote utilization counter
-    std::uint32_t ratLevel = 0;   //!< current RAT level (§3.3)
-    bool active = true;           //!< false once inactive (§3.4)
     Cycle lastAccess = 0;         //!< Timestamp classifier only
+    std::uint32_t remoteUtil = 0; //!< remote utilization counter
+    /**
+     * The core the record describes: Limited_k's tracked core
+     * (kInvalidCore marks a free record); the Complete classifier's
+     * "touched" mark (kInvalidCore until the core first classifies).
+     */
+    CoreId core = kInvalidCore;
+    Mode mode = Mode::Private;    //!< P/R bit
+    std::uint8_t ratLevel : 7;    //!< current RAT level (§3.3)
+    bool active : 1;              //!< false once inactive (§3.4)
+
+    CoreLocality() : ratLevel(0), active(true) {}
+
+    bool
+    operator==(const CoreLocality &o) const
+    {
+        return lastAccess == o.lastAccess && remoteUtil == o.remoteUtil &&
+               core == o.core && mode == o.mode &&
+               ratLevel == o.ratLevel && active == o.active;
+    }
 };
 
-/** Opaque per-line classifier state stored in the directory entry. */
-class LineClassifierState
-{
-  public:
-    virtual ~LineClassifierState() = default;
-};
+static_assert(sizeof(CoreLocality) == 16,
+              "locality records are sized into the L2 metadata budget");
+static_assert(kMaxRatLevels <= 128, "ratLevel is a 7-bit field");
+
+/** One L2 line's locality records (its slice of the record arena). */
+using LineRecords = Span<CoreLocality>;
 
 /** Context communicated with an L1 miss that reaches the directory. */
 struct RemoteAccessContext
@@ -68,8 +92,9 @@ enum class RemovalKind : std::uint8_t { Eviction, Invalidation };
 
 /**
  * Classifier policy object; one per system, stateless across lines
- * except for configuration. All per-line state lives in the
- * LineClassifierState instances it allocates.
+ * except for configuration. All per-line state lives in the line's
+ * LineRecords, which the caller owns (the L2 record arena) and which
+ * start out, and return on invalidation to, CoreLocality{}.
  */
 class LocalityClassifier
 {
@@ -85,16 +110,12 @@ class LocalityClassifier
 
     virtual ~LocalityClassifier() = default;
 
-    /** Allocate fresh per-line state (on L2 fill). */
-    virtual std::unique_ptr<LineClassifierState> makeState() const = 0;
-
     /**
-     * Reset @p state in place to exactly the value a fresh
-     * makeState() returns. The refill path (an L2 slot being reused
-     * for a new line) calls this instead of re-allocating, so
-     * steady-state fills perform no classifier-state heap traffic.
+     * Records per line this classifier keeps: k for Limited_k,
+     * numCores for Complete and Timestamp, 0 for AlwaysPrivate. Every
+     * LineRecords passed in below has exactly this size.
      */
-    virtual void resetState(LineClassifierState &state) const = 0;
+    virtual std::uint32_t recordsPerLine() const = 0;
 
     /**
      * Current mode of @p core for this line, applying any tracking
@@ -102,7 +123,7 @@ class LocalityClassifier
      * Called once per directory transaction before choosing the
      * private or remote service path.
      */
-    virtual Mode classify(LineClassifierState &state, CoreId core) = 0;
+    virtual Mode classify(LineRecords recs, CoreId core) = 0;
 
     /**
      * Account one remote (word) access by @p core and decide
@@ -113,7 +134,7 @@ class LocalityClassifier
      *
      * @return true if the core is promoted to a private sharer.
      */
-    virtual bool onRemoteAccess(LineClassifierState &state, CoreId core,
+    virtual bool onRemoteAccess(LineRecords recs, CoreId core,
                                 const RemoteAccessContext &ctx) = 0;
 
     /**
@@ -121,8 +142,7 @@ class LocalityClassifier
      * all remote sharers other than the writer and makes them
      * inactive (§3.2 Write Requests, §3.4).
      */
-    virtual void onWriteByOther(LineClassifierState &state,
-                                CoreId writer) = 0;
+    virtual void onWriteByOther(LineRecords recs, CoreId writer) = 0;
 
     /**
      * Classification when @p core's private copy leaves its L1
@@ -133,22 +153,20 @@ class LocalityClassifier
      *
      * @return the resulting mode for future requests.
      */
-    virtual Mode onPrivateRemoval(LineClassifierState &state, CoreId core,
+    virtual Mode onPrivateRemoval(LineRecords recs, CoreId core,
                                   std::uint32_t private_util,
                                   RemovalKind kind) = 0;
 
     /**
      * Bookkeeping when a private copy is granted (initial grant or
-     * promotion): marks the core an active private sharer and stamps
-     * the access time.
+     * promotion): marks the core an active private sharer and, where
+     * the classifier keeps one, stamps the access time.
      */
-    virtual void onPrivateGrant(LineClassifierState &state, CoreId core,
-                                Cycle now) = 0;
+    virtual void onPrivateGrant(LineRecords recs, CoreId core, Cycle now) = 0;
 
     /** Inspect a core's record (tests / reporting); may be null when
      * untracked. */
-    virtual const CoreLocality *
-    peek(const LineClassifierState &state, CoreId core) const = 0;
+    virtual const CoreLocality *peek(LineRecords recs, CoreId core) const = 0;
 
     /** True under the Adapt1-way ablation: demotion only (§3.7). */
     bool oneWay() const { return oneWay_; }

@@ -1,32 +1,16 @@
 #include "core/complete_classifier.hh"
 
-#include <algorithm>
-
 namespace lacc {
 
-std::unique_ptr<LineClassifierState>
-CompleteClassifier::makeState() const
-{
-    return std::make_unique<CompleteLineState>(numCores_);
-}
-
-void
-CompleteClassifier::resetState(LineClassifierState &state) const
-{
-    auto &s = static_cast<CompleteLineState &>(state);
-    std::fill(s.records.begin(), s.records.end(), CoreLocality{});
-    std::fill(s.touched.begin(), s.touched.end(), false);
-}
-
 Mode
-CompleteClassifier::majorityOfTouched(const CompleteLineState &s)
+CompleteClassifier::majorityOfTouched(LineRecords recs)
 {
     std::uint32_t remote = 0, total = 0;
-    for (CoreId c = 0; c < s.records.size(); ++c) {
-        if (!s.touched[c])
+    for (const CoreLocality &r : recs) {
+        if (r.core == kInvalidCore)
             continue;
         ++total;
-        if (s.records[c].mode == Mode::Remote)
+        if (r.mode == Mode::Remote)
             ++remote;
     }
     return (total > 0 && remote * 2 > total) ? Mode::Remote
@@ -34,35 +18,32 @@ CompleteClassifier::majorityOfTouched(const CompleteLineState &s)
 }
 
 Mode
-CompleteClassifier::classify(LineClassifierState &state, CoreId core)
+CompleteClassifier::classify(LineRecords recs, CoreId core)
 {
-    auto &s = static_cast<CompleteLineState &>(state);
-    if (!s.touched[core]) {
+    CoreLocality &e = recs[core];
+    if (e.core == kInvalidCore) {
         // Learning short-cut (§5.3, evaluated as an extension): a new
         // sharer starts in the majority mode of the sharers already
         // seen, skipping its per-sharer classification phase.
         if (cfg_.completeLearningShortcut)
-            s.records[core].mode = majorityOfTouched(s);
-        s.touched[core] = true;
+            e.mode = majorityOfTouched(recs);
+        e.core = core;
     }
-    return s.records[core].mode;
+    return e.mode;
 }
 
 bool
-CompleteClassifier::onRemoteAccess(LineClassifierState &state, CoreId core,
+CompleteClassifier::onRemoteAccess(LineRecords recs, CoreId core,
                                    const RemoteAccessContext &ctx)
 {
-    auto &s = static_cast<CompleteLineState &>(state);
-    return remoteAccessDecision(s.records[core], ctx);
+    return remoteAccessDecision(recs[core], ctx);
 }
 
 void
-CompleteClassifier::onWriteByOther(LineClassifierState &state,
-                                   CoreId writer)
+CompleteClassifier::onWriteByOther(LineRecords recs, CoreId writer)
 {
-    auto &s = static_cast<CompleteLineState &>(state);
-    for (CoreId c = 0; c < s.records.size(); ++c) {
-        auto &e = s.records[c];
+    for (CoreId c = 0; c < recs.size(); ++c) {
+        CoreLocality &e = recs[c];
         if (c != writer && e.mode == Mode::Remote) {
             e.remoteUtil = 0;
             e.active = false;
@@ -71,32 +52,27 @@ CompleteClassifier::onWriteByOther(LineClassifierState &state,
 }
 
 Mode
-CompleteClassifier::onPrivateRemoval(LineClassifierState &state,
-                                     CoreId core,
+CompleteClassifier::onPrivateRemoval(LineRecords recs, CoreId core,
                                      std::uint32_t private_util,
                                      RemovalKind kind)
 {
-    auto &s = static_cast<CompleteLineState &>(state);
-    return removalDecision(s.records[core], private_util, kind);
+    return removalDecision(recs[core], private_util, kind);
 }
 
 void
-CompleteClassifier::onPrivateGrant(LineClassifierState &state, CoreId core,
+CompleteClassifier::onPrivateGrant(LineRecords recs, CoreId core,
                                    Cycle now)
 {
-    auto &s = static_cast<CompleteLineState &>(state);
-    auto &e = s.records[core];
+    CoreLocality &e = recs[core];
     e.mode = Mode::Private;
     e.active = true;
     e.lastAccess = now;
 }
 
 const CoreLocality *
-CompleteClassifier::peek(const LineClassifierState &state,
-                         CoreId core) const
+CompleteClassifier::peek(LineRecords recs, CoreId core) const
 {
-    const auto &s = static_cast<const CompleteLineState &>(state);
-    return &s.records[core];
+    return &recs[core];
 }
 
 } // namespace lacc

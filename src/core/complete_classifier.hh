@@ -4,6 +4,9 @@
  * for every core in the system, with RAT levels replacing the
  * idealized timestamps. Storage-hungry (Fig 6, 60% overhead at 64
  * cores) but the accuracy reference for the Limited_k classifier.
+ * Record c of a line belongs to core c; its CoreLocality::core is set
+ * to c once the core has interacted with the line (learning
+ * short-cut).
  *
  * Also defines AlwaysPrivateClassifier, the degenerate classifier that
  * keeps every core a private sharer forever — the baseline directory
@@ -13,24 +16,9 @@
 #ifndef LACC_CORE_COMPLETE_CLASSIFIER_HH
 #define LACC_CORE_COMPLETE_CLASSIFIER_HH
 
-#include <vector>
-
 #include "core/classifier.hh"
 
 namespace lacc {
-
-/** Per-line state of the Complete classifier: one record per core. */
-class CompleteLineState : public LineClassifierState
-{
-  public:
-    explicit CompleteLineState(std::uint32_t num_cores)
-        : records(num_cores), touched(num_cores, false)
-    {}
-
-    std::vector<CoreLocality> records;
-    /** Cores that have interacted with the line (learning short-cut). */
-    std::vector<bool> touched;
-};
 
 /** Tracks locality for all cores (the Complete classifier). */
 class CompleteClassifier : public LocalityClassifier
@@ -40,30 +28,26 @@ class CompleteClassifier : public LocalityClassifier
         : LocalityClassifier(cfg, one_way)
     {}
 
-    std::unique_ptr<LineClassifierState> makeState() const override;
-    void resetState(LineClassifierState &state) const override;
+    std::uint32_t recordsPerLine() const override { return numCores_; }
 
-    Mode classify(LineClassifierState &state, CoreId core) override;
+    Mode classify(LineRecords recs, CoreId core) override;
 
-    bool onRemoteAccess(LineClassifierState &state, CoreId core,
+    bool onRemoteAccess(LineRecords recs, CoreId core,
                         const RemoteAccessContext &ctx) override;
 
-    void onWriteByOther(LineClassifierState &state,
-                        CoreId writer) override;
+    void onWriteByOther(LineRecords recs, CoreId writer) override;
 
-    Mode onPrivateRemoval(LineClassifierState &state, CoreId core,
+    Mode onPrivateRemoval(LineRecords recs, CoreId core,
                           std::uint32_t private_util,
                           RemovalKind kind) override;
 
-    void onPrivateGrant(LineClassifierState &state, CoreId core,
-                        Cycle now) override;
+    void onPrivateGrant(LineRecords recs, CoreId core, Cycle now) override;
 
-    const CoreLocality *peek(const LineClassifierState &state,
-                             CoreId core) const override;
+    const CoreLocality *peek(LineRecords recs, CoreId core) const override;
 
   private:
     /** Majority mode over cores that already touched the line. */
-    static Mode majorityOfTouched(const CompleteLineState &s);
+    static Mode majorityOfTouched(LineRecords recs);
 };
 
 /** Baseline: every core is always a private sharer. */
@@ -74,42 +58,34 @@ class AlwaysPrivateClassifier : public LocalityClassifier
         : LocalityClassifier(cfg, false)
     {}
 
-    std::unique_ptr<LineClassifierState>
-    makeState() const override
-    {
-        // No per-line state is required; an empty base object keeps
-        // the protocol free of null checks.
-        return std::make_unique<LineClassifierState>();
-    }
-
-    void resetState(LineClassifierState &) const override {}
+    /** No per-line state is required. */
+    std::uint32_t recordsPerLine() const override { return 0; }
 
     Mode
-    classify(LineClassifierState &, CoreId) override
+    classify(LineRecords, CoreId) override
     {
         return Mode::Private;
     }
 
     bool
-    onRemoteAccess(LineClassifierState &, CoreId,
-                   const RemoteAccessContext &) override
+    onRemoteAccess(LineRecords, CoreId, const RemoteAccessContext &) override
     {
         return true; // unreachable in practice: mode is always Private
     }
 
-    void onWriteByOther(LineClassifierState &, CoreId) override {}
+    void onWriteByOther(LineRecords, CoreId) override {}
 
     Mode
-    onPrivateRemoval(LineClassifierState &, CoreId, std::uint32_t,
+    onPrivateRemoval(LineRecords, CoreId, std::uint32_t,
                      RemovalKind) override
     {
         return Mode::Private;
     }
 
-    void onPrivateGrant(LineClassifierState &, CoreId, Cycle) override {}
+    void onPrivateGrant(LineRecords, CoreId, Cycle) override {}
 
     const CoreLocality *
-    peek(const LineClassifierState &, CoreId) const override
+    peek(LineRecords, CoreId) const override
     {
         return nullptr;
     }

@@ -1,32 +1,16 @@
 #include "core/limited_classifier.hh"
 
-#include <algorithm>
-
 namespace lacc {
 
-std::unique_ptr<LineClassifierState>
-LimitedClassifier::makeState() const
-{
-    return std::make_unique<LimitedLineState>(k_);
-}
-
-void
-LimitedClassifier::resetState(LineClassifierState &state) const
-{
-    auto &s = static_cast<LimitedLineState &>(state);
-    std::fill(s.slots.begin(), s.slots.end(),
-              LimitedLineState::Slot{});
-}
-
 Mode
-LimitedClassifier::majorityVote(const LimitedLineState &s)
+LimitedClassifier::majorityVote(LineRecords recs)
 {
     std::uint32_t remote = 0, total = 0;
-    for (const auto &slot : s.slots) {
-        if (slot.core == kInvalidCore)
+    for (const CoreLocality &r : recs) {
+        if (r.core == kInvalidCore)
             continue;
         ++total;
-        if (slot.rec.mode == Mode::Remote)
+        if (r.mode == Mode::Remote)
             ++remote;
     }
     // Ties (incl. the empty list) resolve to Private: the protocol's
@@ -35,119 +19,107 @@ LimitedClassifier::majorityVote(const LimitedLineState &s)
                                              : Mode::Private;
 }
 
-LimitedLineState::Slot *
-LimitedClassifier::findSlot(LimitedLineState &s, CoreId core)
+CoreLocality *
+LimitedClassifier::findRecord(LineRecords recs, CoreId core)
 {
-    for (auto &slot : s.slots)
-        if (slot.core == core)
-            return &slot;
+    for (CoreLocality &r : recs)
+        if (r.core == core)
+            return &r;
     return nullptr;
 }
 
-LimitedLineState::Slot *
-LimitedClassifier::allocate(LimitedLineState &s, CoreId core)
+CoreLocality *
+LimitedClassifier::allocate(LineRecords recs, CoreId core)
 {
     // Free entry: the newcomer starts out Private like every core at
     // protocol start (§3.2).
-    for (auto &slot : s.slots) {
-        if (slot.core == kInvalidCore) {
-            slot.core = core;
-            slot.rec = CoreLocality{};
-            return &slot;
+    for (CoreLocality &r : recs) {
+        if (r.core == kInvalidCore) {
+            r = CoreLocality{};
+            r.core = core;
+            return &r;
         }
     }
     // Replacement: an inactive sharer relinquishes its entry; the
     // newcomer is seeded with the majority mode of the tracked cores
     // (vote taken before the replacement, §3.4).
-    for (auto &slot : s.slots) {
-        if (!slot.rec.active) {
-            const Mode seed = majorityVote(s);
-            slot.core = core;
-            slot.rec = CoreLocality{};
-            slot.rec.mode = seed;
-            return &slot;
+    for (CoreLocality &r : recs) {
+        if (!r.active) {
+            const Mode seed = majorityVote(recs);
+            r = CoreLocality{};
+            r.core = core;
+            r.mode = seed;
+            return &r;
         }
     }
     return nullptr;
 }
 
 Mode
-LimitedClassifier::classify(LineClassifierState &state, CoreId core)
+LimitedClassifier::classify(LineRecords recs, CoreId core)
 {
-    auto &s = static_cast<LimitedLineState &>(state);
-    if (auto *slot = findSlot(s, core))
-        return slot->rec.mode;
-    if (auto *slot = allocate(s, core))
-        return slot->rec.mode;
-    return majorityVote(s);
+    if (auto *r = findRecord(recs, core))
+        return r->mode;
+    if (auto *r = allocate(recs, core))
+        return r->mode;
+    return majorityVote(recs);
 }
 
 bool
-LimitedClassifier::onRemoteAccess(LineClassifierState &state, CoreId core,
+LimitedClassifier::onRemoteAccess(LineRecords recs, CoreId core,
                                   const RemoteAccessContext &ctx)
 {
-    auto &s = static_cast<LimitedLineState &>(state);
-    auto *slot = findSlot(s, core);
-    if (slot == nullptr)
-        slot = allocate(s, core);
-    if (slot == nullptr) {
+    auto *r = findRecord(recs, core);
+    if (r == nullptr)
+        r = allocate(recs, core);
+    if (r == nullptr) {
         // Untracked and untrackable: no utilization accrues, so the
         // core cannot earn a promotion (§3.4: the list is unchanged).
         return false;
     }
-    return remoteAccessDecision(slot->rec, ctx);
+    return remoteAccessDecision(*r, ctx);
 }
 
 void
-LimitedClassifier::onWriteByOther(LineClassifierState &state,
-                                  CoreId writer)
+LimitedClassifier::onWriteByOther(LineRecords recs, CoreId writer)
 {
-    auto &s = static_cast<LimitedLineState &>(state);
-    for (auto &slot : s.slots) {
-        if (slot.core == kInvalidCore || slot.core == writer)
+    for (CoreLocality &r : recs) {
+        if (r.core == kInvalidCore || r.core == writer)
             continue;
-        if (slot.rec.mode == Mode::Remote) {
-            slot.rec.remoteUtil = 0;
-            slot.rec.active = false;
+        if (r.mode == Mode::Remote) {
+            r.remoteUtil = 0;
+            r.active = false;
         }
     }
 }
 
 Mode
-LimitedClassifier::onPrivateRemoval(LineClassifierState &state,
-                                    CoreId core,
+LimitedClassifier::onPrivateRemoval(LineRecords recs, CoreId core,
                                     std::uint32_t private_util,
                                     RemovalKind kind)
 {
-    auto &s = static_cast<LimitedLineState &>(state);
-    if (auto *slot = findSlot(s, core))
-        return removalDecision(slot->rec, private_util, kind);
+    if (auto *r = findRecord(recs, core))
+        return removalDecision(*r, private_util, kind);
     // The core lost its entry while holding the line; no utilization
     // record survives, so future requests fall back to the vote.
-    return majorityVote(s);
+    return majorityVote(recs);
 }
 
 void
-LimitedClassifier::onPrivateGrant(LineClassifierState &state, CoreId core,
-                                  Cycle now)
+LimitedClassifier::onPrivateGrant(LineRecords recs, CoreId core, Cycle)
 {
-    auto &s = static_cast<LimitedLineState &>(state);
-    if (auto *slot = findSlot(s, core)) {
-        slot->rec.mode = Mode::Private;
-        slot->rec.active = true;
-        slot->rec.lastAccess = now;
+    // Limited_k keeps no access time: only the Timestamp classifier
+    // reads one.
+    if (auto *r = findRecord(recs, core)) {
+        r->mode = Mode::Private;
+        r->active = true;
     }
 }
 
 const CoreLocality *
-LimitedClassifier::peek(const LineClassifierState &state,
-                        CoreId core) const
+LimitedClassifier::peek(LineRecords recs, CoreId core) const
 {
-    const auto &s = static_cast<const LimitedLineState &>(state);
-    for (const auto &slot : s.slots)
-        if (slot.core == core)
-            return &slot.rec;
-    return nullptr;
+    return findRecord(recs, core);
 }
 
 } // namespace lacc

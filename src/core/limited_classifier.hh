@@ -19,66 +19,17 @@
  * or eviction; a remote sharer becomes inactive on a write by another
  * core. Majority-vote ties resolve to Private (the protocol's initial
  * mode). The paper finds k = 3 sufficient to offset mis-seeding (§5.3).
+ *
+ * Storage: the line's k records, each naming its tracked core in
+ * CoreLocality::core (kInvalidCore = free entry).
  */
 
 #ifndef LACC_CORE_LIMITED_CLASSIFIER_HH
 #define LACC_CORE_LIMITED_CLASSIFIER_HH
 
-#include <vector>
-
 #include "core/classifier.hh"
 
 namespace lacc {
-
-/** Per-line state of the Limited_k classifier: k tracked cores. */
-class LimitedLineState : public LineClassifierState
-{
-  public:
-    /** One tracked-core slot. */
-    struct Slot
-    {
-        CoreId core = kInvalidCore; //!< kInvalidCore marks a free slot
-        CoreLocality rec;
-    };
-
-    /**
-     * The k tracked slots, stored inline for k <= kInlineK (every
-     * in-repo configuration; Fig 13 sweeps k up to 7) so the hot
-     * classify/removal scans touch the state object's own cache
-     * lines instead of chasing a separate heap vector. Larger k
-     * spills to the heap.
-     */
-    class SlotArray
-    {
-      public:
-        static constexpr std::uint32_t kInlineK = 8;
-
-        explicit SlotArray(std::uint32_t k) : k_(k)
-        {
-            if (k_ > kInlineK)
-                spill_.resize(k_);
-        }
-
-        std::uint32_t size() const { return k_; }
-        Slot *begin() { return k_ <= kInlineK ? inline_ : spill_.data(); }
-        Slot *end() { return begin() + k_; }
-        const Slot *
-        begin() const
-        {
-            return k_ <= kInlineK ? inline_ : spill_.data();
-        }
-        const Slot *end() const { return begin() + k_; }
-
-      private:
-        std::uint32_t k_;
-        Slot inline_[kInlineK];
-        std::vector<Slot> spill_;
-    };
-
-    explicit LimitedLineState(std::uint32_t k) : slots(k) {}
-
-    SlotArray slots;
-};
 
 /** The Limited_k classifier. */
 class LimitedClassifier : public LocalityClassifier
@@ -88,39 +39,35 @@ class LimitedClassifier : public LocalityClassifier
         : LocalityClassifier(cfg, one_way), k_(cfg.classifierK)
     {}
 
-    std::unique_ptr<LineClassifierState> makeState() const override;
-    void resetState(LineClassifierState &state) const override;
+    std::uint32_t recordsPerLine() const override { return k_; }
 
-    Mode classify(LineClassifierState &state, CoreId core) override;
+    Mode classify(LineRecords recs, CoreId core) override;
 
-    bool onRemoteAccess(LineClassifierState &state, CoreId core,
+    bool onRemoteAccess(LineRecords recs, CoreId core,
                         const RemoteAccessContext &ctx) override;
 
-    void onWriteByOther(LineClassifierState &state,
-                        CoreId writer) override;
+    void onWriteByOther(LineRecords recs, CoreId writer) override;
 
-    Mode onPrivateRemoval(LineClassifierState &state, CoreId core,
+    Mode onPrivateRemoval(LineRecords recs, CoreId core,
                           std::uint32_t private_util,
                           RemovalKind kind) override;
 
-    void onPrivateGrant(LineClassifierState &state, CoreId core,
-                        Cycle now) override;
+    void onPrivateGrant(LineRecords recs, CoreId core, Cycle now) override;
 
-    const CoreLocality *peek(const LineClassifierState &state,
-                             CoreId core) const override;
+    const CoreLocality *peek(LineRecords recs, CoreId core) const override;
 
-    /** Majority mode over occupied slots; Private on ties/empty. */
-    static Mode majorityVote(const LimitedLineState &s);
+    /** Majority mode over occupied records; Private on ties/empty. */
+    static Mode majorityVote(LineRecords recs);
 
   private:
-    /** Find the slot tracking @p core, or nullptr. */
-    LimitedLineState::Slot *findSlot(LimitedLineState &s, CoreId core);
+    /** Find the record tracking @p core, or nullptr. */
+    static CoreLocality *findRecord(LineRecords recs, CoreId core);
 
     /**
-     * Ensure @p core is tracked if possible (free slot or inactive
-     * replacement). @return its slot or nullptr if untrackable.
+     * Ensure @p core is tracked if possible (free record or inactive
+     * replacement). @return its record or nullptr if untrackable.
      */
-    LimitedLineState::Slot *allocate(LimitedLineState &s, CoreId core);
+    static CoreLocality *allocate(LineRecords recs, CoreId core);
 
     std::uint32_t k_;
 };

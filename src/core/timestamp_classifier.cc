@@ -1,36 +1,18 @@
 #include "core/timestamp_classifier.hh"
 
-#include <algorithm>
-
 namespace lacc {
 
-void
-TimestampClassifier::resetState(LineClassifierState &state) const
-{
-    auto &s = static_cast<TimestampLineState &>(state);
-    std::fill(s.records.begin(), s.records.end(), CoreLocality{});
-}
-
-std::unique_ptr<LineClassifierState>
-TimestampClassifier::makeState() const
-{
-    return std::make_unique<TimestampLineState>(numCores_);
-}
-
 Mode
-TimestampClassifier::classify(LineClassifierState &state, CoreId core)
+TimestampClassifier::classify(LineRecords recs, CoreId core)
 {
-    auto &s = static_cast<TimestampLineState &>(state);
-    return s.records[core].mode;
+    return recs[core].mode;
 }
 
 bool
-TimestampClassifier::onRemoteAccess(LineClassifierState &state,
-                                    CoreId core,
+TimestampClassifier::onRemoteAccess(LineRecords recs, CoreId core,
                                     const RemoteAccessContext &ctx)
 {
-    auto &s = static_cast<TimestampLineState &>(state);
-    auto &e = s.records[core];
+    CoreLocality &e = recs[core];
     e.active = true;
 
     // Timestamp check (§3.2): accrue utilization only if this line is
@@ -52,12 +34,10 @@ TimestampClassifier::onRemoteAccess(LineClassifierState &state,
 }
 
 void
-TimestampClassifier::onWriteByOther(LineClassifierState &state,
-                                    CoreId writer)
+TimestampClassifier::onWriteByOther(LineRecords recs, CoreId writer)
 {
-    auto &s = static_cast<TimestampLineState &>(state);
-    for (CoreId c = 0; c < s.records.size(); ++c) {
-        auto &e = s.records[c];
+    for (CoreId c = 0; c < recs.size(); ++c) {
+        CoreLocality &e = recs[c];
         if (c != writer && e.mode == Mode::Remote) {
             e.remoteUtil = 0;
             e.active = false;
@@ -66,35 +46,30 @@ TimestampClassifier::onWriteByOther(LineClassifierState &state,
 }
 
 Mode
-TimestampClassifier::onPrivateRemoval(LineClassifierState &state,
-                                      CoreId core,
+TimestampClassifier::onPrivateRemoval(LineRecords recs, CoreId core,
                                       std::uint32_t private_util,
                                       RemovalKind kind)
 {
-    auto &s = static_cast<TimestampLineState &>(state);
     // The (private + remote) >= PCT rule is shared with the RAT-based
     // classifiers; RAT-level updates are harmless here because this
     // classifier never consults the level.
-    return removalDecision(s.records[core], private_util, kind);
+    return removalDecision(recs[core], private_util, kind);
 }
 
 void
-TimestampClassifier::onPrivateGrant(LineClassifierState &state,
-                                    CoreId core, Cycle now)
+TimestampClassifier::onPrivateGrant(LineRecords recs, CoreId core,
+                                    Cycle now)
 {
-    auto &s = static_cast<TimestampLineState &>(state);
-    auto &e = s.records[core];
+    CoreLocality &e = recs[core];
     e.mode = Mode::Private;
     e.active = true;
     e.lastAccess = now;
 }
 
 const CoreLocality *
-TimestampClassifier::peek(const LineClassifierState &state,
-                          CoreId core) const
+TimestampClassifier::peek(LineRecords recs, CoreId core) const
 {
-    const auto &s = static_cast<const TimestampLineState &>(state);
-    return &s.records[core];
+    return &recs[core];
 }
 
 } // namespace lacc

@@ -11,27 +11,15 @@
  * lines in the requester's L1 set (communicated with the miss);
  * otherwise the counter resets to 1. The check passes trivially when
  * the requester's set has an invalid way. Promotion happens at PCT.
+ * Record c of a line belongs to core c (Fig 6 with timestamps).
  */
 
 #ifndef LACC_CORE_TIMESTAMP_CLASSIFIER_HH
 #define LACC_CORE_TIMESTAMP_CLASSIFIER_HH
 
-#include <vector>
-
 #include "core/classifier.hh"
 
 namespace lacc {
-
-/** Per-line state: full per-core records with timestamps (Fig 6). */
-class TimestampLineState : public LineClassifierState
-{
-  public:
-    explicit TimestampLineState(std::uint32_t num_cores)
-        : records(num_cores)
-    {}
-
-    std::vector<CoreLocality> records;
-};
 
 /** The idealized Timestamp-based classifier. */
 class TimestampClassifier : public LocalityClassifier
@@ -41,26 +29,22 @@ class TimestampClassifier : public LocalityClassifier
         : LocalityClassifier(cfg, one_way)
     {}
 
-    std::unique_ptr<LineClassifierState> makeState() const override;
-    void resetState(LineClassifierState &state) const override;
+    std::uint32_t recordsPerLine() const override { return numCores_; }
 
-    Mode classify(LineClassifierState &state, CoreId core) override;
+    Mode classify(LineRecords recs, CoreId core) override;
 
-    bool onRemoteAccess(LineClassifierState &state, CoreId core,
+    bool onRemoteAccess(LineRecords recs, CoreId core,
                         const RemoteAccessContext &ctx) override;
 
-    void onWriteByOther(LineClassifierState &state,
-                        CoreId writer) override;
+    void onWriteByOther(LineRecords recs, CoreId writer) override;
 
-    Mode onPrivateRemoval(LineClassifierState &state, CoreId core,
+    Mode onPrivateRemoval(LineRecords recs, CoreId core,
                           std::uint32_t private_util,
                           RemovalKind kind) override;
 
-    void onPrivateGrant(LineClassifierState &state, CoreId core,
-                        Cycle now) override;
+    void onPrivateGrant(LineRecords recs, CoreId core, Cycle now) override;
 
-    const CoreLocality *peek(const LineClassifierState &state,
-                             CoreId core) const override;
+    const CoreLocality *peek(LineRecords recs, CoreId core) const override;
 };
 
 } // namespace lacc

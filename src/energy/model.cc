@@ -1,29 +1,6 @@
 #include "energy/model.hh"
 
 namespace lacc {
-namespace {
-
-// Slot binding is per OS thread, shared by every EnergyModel the
-// thread touches. Engine workers only ever tally into the Multicore
-// that spawned them, and are joined before run() returns, so a stale
-// binding can never leak into another system's accounting window.
-thread_local std::size_t tlsEnergySlot = 0;
-
-} // namespace
-
-void
-EnergyModel::bindThreadSlot(std::size_t slot)
-{
-    tlsEnergySlot = slot;
-}
-
-EnergyCounts &
-EnergyModel::cur()
-{
-    const std::size_t i =
-        tlsEnergySlot < slots_.size() ? tlsEnergySlot : 0;
-    return slots_[i];
-}
 
 EnergyCounts
 EnergyModel::counts() const

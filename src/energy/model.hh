@@ -116,7 +116,7 @@ class EnergyModel
      * Bind the calling thread to @p slot for all subsequent adds on
      * any EnergyModel. Out-of-range bindings fall back to slot 0.
      */
-    static void bindThreadSlot(std::size_t slot);
+    static void bindThreadSlot(std::size_t slot) { threadSlot_ = slot; }
 
     // ---- Cache events -------------------------------------------------
     void addL1iAccess() { cur().l1iAccesses += 1; }
@@ -163,7 +163,21 @@ class EnergyModel
     }
 
   private:
-    EnergyCounts &cur();
+    /** The calling thread's slot: a TLS load and an index. */
+    EnergyCounts &
+    cur()
+    {
+        return slots_[threadSlot_ < slots_.size() ? threadSlot_ : 0];
+    }
+
+    /**
+     * Slot binding is per OS thread, shared by every EnergyModel the
+     * thread touches. Engine workers only ever tally into the
+     * Multicore that spawned them, and are joined before run()
+     * returns, so a stale binding can never leak into another
+     * system's accounting window.
+     */
+    static inline thread_local std::size_t threadSlot_ = 0;
 
     EnergyParams params_;
     std::vector<EnergyCounts> slots_;

@@ -283,9 +283,16 @@ BaseL1Controller::dropOtherCopy(CoreId c, bool is_ifetch, LineAddr line)
 // ---------------------------------------------------------------------------
 
 BaseDirectoryController::BaseDirectoryController(
-    const ProtocolContext &ctx)
+    const ProtocolContext &ctx, const SharerList &entry_sharers)
     : ctx_(ctx), classifier_(LocalityClassifier::create(ctx.cfg))
-{}
+{
+    const std::uint32_t records = classifier_->recordsPerLine();
+    for (const auto &tp : ctx_.tiles) {
+        tp->l2.setRecordsPerLine(records);
+        tp->l2.forEach(
+            [&](L2Cache::Entry e) { e.meta().sharers = entry_sharers; });
+    }
+}
 
 CoreId
 BaseDirectoryController::homeOf(LineAddr line, CoreId requester) const
@@ -333,21 +340,9 @@ BaseDirectoryController::l2FindOrFill(CoreId home, LineAddr line,
     victim.setValid(true);
     victim.setTag(line);
     victim.setLastAccess(t_back);
-    victim.meta().dstate = DirState::Uncached;
-    victim.meta().owner = kInvalidCore;
-    victim.meta().holders.clear();
-    if (victim.meta().cls) {
-        // Refill of a previously used slot: reset the classifier
-        // state and sharer list in place — same values a fresh
-        // makeState()/makeSharers() would produce, no allocation.
-        classifier_->resetState(*victim.meta().cls);
-        victim.meta().sharers.clear();
-    } else {
-        victim.meta().sharers = makeSharers();
-        victim.meta().cls = classifier_->makeState();
-    }
+    // The slot is never-used or invalidated: its directory state,
+    // sharer list and classifier records are already fresh.
     victim.meta().busyUntil = t_back;
-    victim.meta().dirty = false;
     ctx_.dram.readLine(line, victim.words());
     ctx_.energy.addL2Line(); // fill write
     ++ctx_.stats.l2.fills;
@@ -522,7 +517,7 @@ BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
 
     const Mode mode = upgrade
                           ? Mode::Private
-                          : classifier_->classify(*entry.meta().cls, c);
+                          : classifier_->classify(entry.records(), c);
     const RemoteAccessContext rctx{t_ready, hint.hasInvalidWay,
                                    hint.minLastAccess};
 
@@ -533,13 +528,13 @@ BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
         const std::uint64_t val = ctx_.mem.nextValue(c);
         // A write resets the remote utilization of all other remote
         // sharers (§3.2) and invalidates all private sharers.
-        classifier_->onWriteByOther(*entry.meta().cls, c);
+        classifier_->onWriteByOther(entry.records(), c);
         t_shar = invalidateHolders(home, entry, c, t_ready);
 
         bool promote = false;
         if (mode == Mode::Remote) {
             promote =
-                classifier_->onRemoteAccess(*entry.meta().cls, c, rctx);
+                classifier_->onRemoteAccess(entry.records(), c, rctx);
             if (promote)
                 ++ctx_.stats.protocol.promotions;
         }
@@ -568,7 +563,7 @@ BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
             entry.meta().sharers.add(c);
             entry.meta().dstate = DirState::Exclusive;
             entry.meta().owner = c;
-            classifier_->onPrivateGrant(*entry.meta().cls, c, t_ready);
+            classifier_->onPrivateGrant(entry.records(), c, t_ready);
         } else {
             // Remote word write: stored at the L2 home (§3.2).
             entry.words()[word] = val;
@@ -594,7 +589,7 @@ BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
         bool promote = false;
         if (mode == Mode::Remote) {
             promote =
-                classifier_->onRemoteAccess(*entry.meta().cls, c, rctx);
+                classifier_->onRemoteAccess(entry.records(), c, rctx);
             if (promote)
                 ++ctx_.stats.protocol.promotions;
         }
@@ -631,7 +626,7 @@ BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
                 entry.meta().dstate = DirState::Shared;
                 entry.meta().owner = kInvalidCore;
             }
-            classifier_->onPrivateGrant(*entry.meta().cls, c, t_ready);
+            classifier_->onPrivateGrant(entry.records(), c, t_ready);
             ++ctx_.stats.protocol.privateReadGrants;
             ctx_.energy.addL2Line();
             ++ctx_.stats.l2.loads;
@@ -684,7 +679,7 @@ BaseDirectoryController::dropAndAck(CoreId s, CoreId home,
         // The locality state dies with an L2 eviction, so only a
         // protocol invalidation classifies the removal (§3.2).
         const Mode m = classifier_->onPrivateRemoval(
-            *entry.meta().cls, s, dr.util, RemovalKind::Invalidation);
+            entry.records(), s, dr.util, RemovalKind::Invalidation);
         if (m == Mode::Remote)
             ++ctx_.stats.protocol.demotions;
     }
@@ -802,7 +797,7 @@ BaseDirectoryController::evictionNotice(CoreId home, CoreId c,
     }
 
     const Mode m = classifier_->onPrivateRemoval(
-        *he.meta().cls, c, util, RemovalKind::Eviction);
+        he.records(), c, util, RemovalKind::Eviction);
     if (m == Mode::Remote)
         ++ctx_.stats.protocol.demotions;
 }

@@ -8,8 +8,9 @@
  * find-or-fill, sync write-backs, inclusive L2 evictions, R-NUCA
  * re-home flushes) and leaves two policy points to subclasses:
  *
- *  - makeSharers(): which SharerList organization a fresh directory
- *    entry gets (ACKwise_p pointers vs full-map bit vector);
+ *  - the SharerList organization every directory entry gets (ACKwise_p
+ *    pointers vs full-map bit vector), passed to the constructor and
+ *    fixed for the life of the system;
  *  - fanOutInvalidations(): how an exclusive request reaches the
  *    current holders (per-sharer unicasts vs the ACKwise overflow
  *    broadcast of §3.1).
@@ -65,7 +66,13 @@ class BaseL1Controller final : public L1Controller
 class BaseDirectoryController : public DirectoryController
 {
   public:
-    explicit BaseDirectoryController(const ProtocolContext &ctx);
+    /**
+     * Formats every home slice's directory once: each entry's sharer
+     * list takes the @p entry_sharers organization and the L2 record
+     * arena is sized to the classifier's recordsPerLine().
+     */
+    BaseDirectoryController(const ProtocolContext &ctx,
+                            const SharerList &entry_sharers);
 
     /** Wire the L1 side (factory responsibility). */
     void bind(L1Controller &l1) { l1_ = &l1; }
@@ -84,9 +91,6 @@ class BaseDirectoryController : public DirectoryController
     }
 
   protected:
-    /** SharerList organization of a fresh directory entry. */
-    virtual SharerList makeSharers() const = 0;
-
     /**
      * Deliver invalidations to @p targets and collect the acks.
      * The base implementation unicasts per sharer; ACKwise overrides
@@ -156,8 +160,8 @@ class BaseDirectoryController : public DirectoryController
     /**
      * Reusable target-list scratch (invalidation fan-out / L2
      * eviction back-invalidation). Steady state is allocation-free:
-     * the inline SmallCoreVec capacity covers typical sharer sets,
-     * and a spilled copy reuses the spill vector's storage.
+     * the inline HolderVec capacity covers typical sharer sets,
+     * and a spilled copy reuses its spill buffer.
      * invalidateHolders and l2Evict never nest, but each gets its own
      * scratch so the snapshot survives holder-set mutation.
      */

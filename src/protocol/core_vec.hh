@@ -1,26 +1,20 @@
 /**
  * @file
- * Small-vector of core ids for directory metadata.
+ * HolderVec: the small-buffer core-id set of L2Meta::holders.
  *
- * Directory entries track tiny core sets (ACKwise_p pointer slots,
- * p = 4 by default; L1 holder oracles, typically <= the sharing
- * degree), but the seed kept them in heap-allocated std::vectors with
- * linear find/remove scans. SmallCoreVec stores up to kInlineCap ids
- * inline (no heap allocation per directory entry on the common path)
- * and spills to a heap vector only for genuinely large sets.
+ * Holder sets are tiny (typically <= the sharing degree), and one
+ * lives in every L2 line's metadata, so the representation is sized
+ * for that: up to kInlineCap ids live inline, and a genuinely large
+ * set moves to a single owned heap buffer (the spill) that the slot
+ * then keeps for reuse — clear() keeps the capacity, so steady-state
+ * churn is allocation-free. No std::vector member: the whole object
+ * is 24 bytes.
  *
- * Two orderings, selected by template parameter:
- *
- *  - kSorted = true: ids kept sorted, membership by binary search.
- *    Used by SharerList's ACKwise pointer slots, whose order is
- *    architecturally meaningless (the protocol only asks "is this
- *    core tracked" / "how many").
- *  - kSorted = false: insertion order preserved, linear membership.
- *    Used for L2Meta::holders, where order is architecturally
- *    *visible*: invalidation fan-out unicasts holders in grant order,
- *    and with link contention the fan-out order shifts individual ack
- *    arrival times. Sorting holders would change modeled timing (and
- *    break the bench goldens), so the helper must not reorder them.
+ * Insertion order is preserved (membership is a linear scan) because
+ * it is architecturally *visible*: invalidation fan-out unicasts
+ * holders in grant order, and with link contention the fan-out order
+ * shifts individual ack arrival times. Sorting holders would change
+ * modeled timing (and break the bench goldens).
  */
 
 #ifndef LACC_PROTOCOL_CORE_VEC_HH
@@ -28,21 +22,40 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "sim/types.hh"
 
 namespace lacc {
 
-/** Small-buffer core-id set; see file header for the two orderings. */
-template <bool kSorted>
-class SmallCoreVec
+/** Grant-ordered small-buffer core-id set; see the file header. */
+class HolderVec
 {
   public:
     /** Ids stored without touching the heap. */
     static constexpr std::uint32_t kInlineCap = 8;
 
-    SmallCoreVec() = default;
+    HolderVec() = default;
+
+    HolderVec(const HolderVec &o) { *this = o; }
+
+    /** Copy the ids, reusing this object's storage when it fits. */
+    HolderVec &
+    operator=(const HolderVec &o)
+    {
+        if (this != &o) {
+            if (o.size_ > capacity())
+                grow(o.size_);
+            std::copy_n(o.data(), o.size_, data());
+            size_ = o.size_;
+        }
+        return *this;
+    }
+
+    ~HolderVec()
+    {
+        if (cap_ != 0)
+            delete[] spill_;
+    }
 
     std::uint32_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
@@ -55,46 +68,21 @@ class SmallCoreVec
     bool
     contains(CoreId c) const
     {
-        if constexpr (kSorted)
-            return std::binary_search(begin(), end(), c);
-        else
-            return std::find(begin(), end(), c) != end();
+        return std::find(begin(), end(), c) != end();
     }
 
     /**
-     * Add @p c (sorted position or at the back, per ordering).
+     * Add @p c at the back (grant order).
      * @return false if it was already present (set semantics).
      */
     bool
     insert(CoreId c)
     {
-        std::uint32_t pos;
-        if constexpr (kSorted) {
-            const CoreId *it = std::lower_bound(begin(), end(), c);
-            if (it != end() && *it == c)
-                return false;
-            pos = static_cast<std::uint32_t>(it - begin());
-        } else {
-            if (contains(c))
-                return false;
-            pos = size_;
-        }
-        if (spilled_) {
-            spill_.insert(spill_.begin() + pos, c);
-            ++size_;
-            return true;
-        }
-        if (size_ == kInlineCap) {
-            spill_.assign(inline_, inline_ + size_);
-            spill_.insert(spill_.begin() + pos, c);
-            spilled_ = true;
-            ++size_;
-            return true;
-        }
-        for (std::uint32_t i = size_; i > pos; --i)
-            inline_[i] = inline_[i - 1];
-        inline_[pos] = c;
-        ++size_;
+        if (contains(c))
+            return false;
+        if (size_ == capacity())
+            grow(2 * capacity());
+        data()[size_++] = c;
         return true;
     }
 
@@ -102,55 +90,50 @@ class SmallCoreVec
     bool
     erase(CoreId c)
     {
-        const CoreId *it;
-        if constexpr (kSorted) {
-            it = std::lower_bound(begin(), end(), c);
-            if (it == end() || *it != c)
-                return false;
-        } else {
-            it = std::find(begin(), end(), c);
-            if (it == end())
-                return false;
-        }
-        const std::uint32_t pos =
-            static_cast<std::uint32_t>(it - begin());
-        if (spilled_) {
-            spill_.erase(spill_.begin() + pos);
-        } else {
-            for (std::uint32_t i = pos; i + 1 < size_; ++i)
-                inline_[i] = inline_[i + 1];
-        }
+        const CoreId *it = std::find(begin(), end(), c);
+        if (it == end())
+            return false;
+        CoreId *d = data();
+        for (std::uint32_t i = static_cast<std::uint32_t>(it - d);
+             i + 1 < size_; ++i)
+            d[i] = d[i + 1];
         --size_;
         return true;
     }
 
     /** Drop all ids (spill capacity is kept for reuse). */
-    void
-    clear()
-    {
-        size_ = 0;
-        spilled_ = false;
-        spill_.clear();
-    }
+    void clear() { size_ = 0; }
 
   private:
-    const CoreId *
-    data() const
+    std::uint32_t
+    capacity() const
     {
-        return spilled_ ? spill_.data() : inline_;
+        return cap_ != 0 ? cap_ : kInlineCap;
     }
 
-    CoreId inline_[kInlineCap] = {};
-    std::vector<CoreId> spill_; //!< holds *all* ids once spilled
+    CoreId *data() { return cap_ != 0 ? spill_ : inline_; }
+    const CoreId *data() const { return cap_ != 0 ? spill_ : inline_; }
+
+    /** Move the ids into a spill buffer of @p cap (> capacity()). */
+    void
+    grow(std::uint32_t cap)
+    {
+        CoreId *buf = new CoreId[cap];
+        std::copy_n(data(), size_, buf);
+        if (cap_ != 0)
+            delete[] spill_;
+        spill_ = buf;
+        cap_ = cap;
+    }
+
+    union
+    {
+        CoreId inline_[kInlineCap] = {}; //!< ids while cap_ == 0
+        CoreId *spill_;                  //!< owned buffer of cap_ ids
+    };
     std::uint32_t size_ = 0;
-    bool spilled_ = false;
+    std::uint32_t cap_ = 0; //!< spill capacity; 0 while inline
 };
-
-/** Sorted flavor: SharerList pointer slots. */
-using SortedCoreVec = SmallCoreVec<true>;
-
-/** Grant-ordered flavor: L2Meta::holders (fan-out order matters). */
-using HolderVec = SmallCoreVec<false>;
 
 } // namespace lacc
 

@@ -2,18 +2,22 @@
  * @file
  * Directory-entry metadata of an L2 slice line (Fig 6/7): the
  * directory-visible MESI summary state, the protocol's SharerList,
- * the simulator's ground-truth holder oracle, and the per-line
- * locality-classifier state. Owned and mutated exclusively by the
- * protocol layer's DirectoryController; system/Tile merely embeds the
- * L2Cache array.
+ * and the simulator's ground-truth holder oracle in L2Meta, plus the
+ * line's locality-classifier records in the L2Cache's record arena
+ * (L2Cache::Entry::records(), recordsPerLine() per line). Owned and
+ * mutated exclusively by the protocol layer's DirectoryController;
+ * system/Tile merely embeds the L2Cache array.
+ *
+ * Footprint: every L2 line of the system carries this metadata, so it
+ * is kept to fixed-size, heap-free members — L2Meta is 56 bytes and
+ * Limited_3's records 48, 104 bytes per line for the default config
+ * (pinned by tests/test_dir.cc).
  */
 
 #ifndef LACC_PROTOCOL_DIR_ENTRY_HH
 #define LACC_PROTOCOL_DIR_ENTRY_HH
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "cache/set_assoc.hh"
 #include "core/classifier.hh"
@@ -48,9 +52,13 @@ dirStateName(DirState s)
  */
 struct L2Meta
 {
-    DirState dstate = DirState::Uncached;
-    CoreId owner = kInvalidCore;   //!< valid iff dstate == Exclusive
-    SharerList sharers;            //!< protocol sharer tracking
+    Cycle busyUntil = 0;           //!< per-line serialization window
+    /**
+     * Protocol sharer tracking. Its organization (ACKwise_p or full
+     * map) is fixed once per system by the directory controller and
+     * survives invalidation.
+     */
+    SharerList sharers;
     /**
      * Ground-truth holder identities (which L1s hold a copy). The
      * protocol's SharerList may hide identities in ACKwise overflow
@@ -61,19 +69,18 @@ struct L2Meta
      * modeled timing (see protocol/core_vec.hh).
      */
     HolderVec holders;
-    std::unique_ptr<LineClassifierState> cls; //!< locality records
-    Cycle busyUntil = 0;           //!< per-line serialization window
+    CoreId owner = kInvalidCore;   //!< valid iff dstate == Exclusive
+    DirState dstate = DirState::Uncached;
     bool dirty = false;            //!< L2 copy newer than DRAM
 };
 
 /**
  * invalidate() reset for the L2 directory meta (found by ADL from
  * SetAssocCache::invalidate): protocol state is cleared, but the
- * classifier-state allocation and the sharer-list organization
- * survive — the refill path (l2FindOrFill) resets their contents in
- * place, so steady-state L2 slot churn performs no heap traffic.
- * The stale classifier contents are never read: every consumer goes
- * through a valid entry, and a refill resets before use.
+ * sharer-list organization (and any spill buffers) survive, so a
+ * refilled slot needs no setup and L2 slot churn performs no heap
+ * traffic. invalidate() also returns the slot's classifier records to
+ * CoreLocality{}.
  */
 inline void
 resetCacheMeta(L2Meta &m)
@@ -86,8 +93,8 @@ resetCacheMeta(L2Meta &m)
     m.dirty = false;
 }
 
-/** L2 slice array: hashed set index (see SetAssocCache). */
-using L2Cache = SetAssocCache<L2Meta, true>;
+/** L2 slice array: hashed set index, locality-record arena. */
+using L2Cache = SetAssocCache<L2Meta, true, CoreLocality>;
 
 } // namespace lacc
 

@@ -10,6 +10,12 @@
  * invalidation, but acknowledgements are expected only from the actual
  * sharers (the tracked count). Identities cannot be recovered until
  * the line is fully invalidated.
+ *
+ * Storage: one SharerList lives in every L2 line's metadata, so it is
+ * 16 bytes with no std::vector member. ACKwise pointers (p <= 4) and a
+ * full map of <= 64 cores fit inline; a larger organization keeps its
+ * pointers or bit vector in a single owned spill buffer, allocated on
+ * the list's first add() and kept across clear().
  */
 
 #ifndef LACC_PROTOCOL_SHARER_LIST_HH
@@ -18,7 +24,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "protocol/core_vec.hh"
 #include "sim/types.hh"
 
 namespace lacc {
@@ -27,27 +32,24 @@ namespace lacc {
 class SharerList
 {
   public:
+    /** ACKwise pointers stored inline. */
+    static constexpr std::uint32_t kInlinePointers = 4;
+    /** Full-map cores covered by the inline bit-vector word. */
+    static constexpr std::uint32_t kInlineMapCores = 64;
+
     /** Construct an ACKwise list with @p pointers slots. */
-    static SharerList
-    makeAckwise(std::uint32_t pointers)
-    {
-        SharerList s;
-        s.fullMap_ = false;
-        s.capacity_ = pointers;
-        return s;
-    }
+    static SharerList makeAckwise(std::uint32_t pointers);
 
     /** Construct a full-map list over @p num_cores cores. */
-    static SharerList
-    makeFullMap(std::uint32_t num_cores)
-    {
-        SharerList s;
-        s.fullMap_ = true;
-        s.bits_.assign((num_cores + 63) / 64, 0);
-        return s;
-    }
+    static SharerList makeFullMap(std::uint32_t num_cores);
 
+    /** An ACKwise list with no pointers (every sharer overflows). */
     SharerList() = default;
+
+    /** Copies the organization and the sharers. */
+    SharerList(const SharerList &o) { *this = o; }
+    SharerList &operator=(const SharerList &o);
+    ~SharerList();
 
     /** Add a sharer (idempotent). */
     void add(CoreId core);
@@ -84,8 +86,11 @@ class SharerList
     forEachTracked(F &&fn) const
     {
         if (fullMap_) {
-            for (std::size_t w = 0; w < bits_.size(); ++w) {
-                std::uint64_t word = bits_[w];
+            const std::uint64_t *bits = mapWords();
+            if (bits == nullptr)
+                return;
+            for (std::uint32_t w = 0; w < capacity_; ++w) {
+                std::uint64_t word = bits[w];
                 while (word) {
                     const int b = __builtin_ctzll(word);
                     fn(static_cast<CoreId>(w * 64 + b));
@@ -93,8 +98,9 @@ class SharerList
                 }
             }
         } else {
-            for (const CoreId p : pointers_)
-                fn(p);
+            const CoreId *p = pointers();
+            for (std::uint32_t i = 0; i < size_; ++i)
+                fn(p[i]);
         }
     }
 
@@ -105,12 +111,47 @@ class SharerList
     bool isFullMap() const { return fullMap_; }
 
   private:
+    /** True when the organization does not fit the inline storage. */
+    bool
+    spills() const
+    {
+        return fullMap_ ? capacity_ > 1 : capacity_ > kInlinePointers;
+    }
+
+    /** ACKwise pointer slots, sorted (null: spill not yet allocated). */
+    const CoreId *
+    pointers() const
+    {
+        return spills() ? store_.spillPtrs : store_.ptrs;
+    }
+
+    /** Full-map words (null: spill not yet allocated). */
+    const std::uint64_t *
+    mapWords() const
+    {
+        return spills() ? store_.spillBits : &store_.bits;
+    }
+
+    /** Mutable storage, allocating the spill on first use. */
+    CoreId *pointersForWrite();
+    std::uint64_t *mapWordsForWrite();
+
+    /** Release an allocated spill buffer. */
+    void freeSpill();
+
+    /** Inline storage, or the owned spill buffer when spills(). */
+    union Store
+    {
+        CoreId ptrs[kInlinePointers]; //!< ACKwise, p <= kInlinePointers
+        std::uint64_t bits;           //!< full map, <= 64 cores
+        CoreId *spillPtrs;            //!< ACKwise, p pointers
+        std::uint64_t *spillBits;     //!< full map, capacity_ words
+    } store_ = {};
+    std::uint16_t count_ = 0;
+    std::uint16_t size_ = 0;     //!< ACKwise: pointer-resident ids
+    std::uint16_t capacity_ = 0; //!< ACKwise p, or full-map words
     bool fullMap_ = false;
     bool overflowed_ = false;
-    std::uint32_t count_ = 0;
-    std::uint32_t capacity_ = 0;   //!< ACKwise slot count (the "p")
-    SortedCoreVec pointers_;       //!< ACKwise-tracked identities
-    std::vector<std::uint64_t> bits_; //!< full-map bit vector
 };
 
 } // namespace lacc

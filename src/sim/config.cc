@@ -102,8 +102,9 @@ SystemConfig::validate() const
         fatal("PCT must be >= 1");
     if (ratMax < pct)
         fatal("RATmax (%u) must be >= PCT (%u)", ratMax, pct);
-    if (nRatLevels == 0)
-        fatal("nRATlevels must be >= 1");
+    if (nRatLevels == 0 || nRatLevels > kMaxRatLevels)
+        fatal("nRATlevels (%u) must be in [1, %u]", nRatLevels,
+              kMaxRatLevels);
     if (classifierKind == ClassifierKind::Limited && classifierK == 0)
         fatal("Limited classifier needs k >= 1");
     if (directoryKind == DirectoryKind::Ackwise && ackwisePointers == 0)

@@ -14,6 +14,13 @@
 
 namespace lacc {
 
+/**
+ * Upper bound on nRatLevels: the per-core RAT level is a 7-bit field
+ * of the directory's locality record (core/classifier.hh). The paper
+ * evaluates at most 8 levels (Fig 12).
+ */
+constexpr std::uint32_t kMaxRatLevels = 128;
+
 /** Which locality classifier the directory uses (Sections 3.2-3.4). */
 enum class ClassifierKind : std::uint8_t {
     /** Tracks mode/utilization/RAT-level for every core (Fig 6). */

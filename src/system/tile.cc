@@ -5,6 +5,6 @@
 
 namespace lacc {
 
-template class SetAssocCache<L2Meta, true>;
+template class SetAssocCache<L2Meta, true, CoreLocality>;
 
 } // namespace lacc

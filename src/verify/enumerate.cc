@@ -131,10 +131,8 @@ encodeState(Multicore &m)
                 appendNum(s, t);
             s += 'k';
             for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-                const CoreLocality *loc =
-                    meta.cls ? m.classifier().peek(
-                                   *meta.cls, static_cast<CoreId>(c))
-                             : nullptr;
+                const CoreLocality *loc = m.classifier().peek(
+                    e.records(), static_cast<CoreId>(c));
                 if (loc == nullptr) {
                     s += '-';
                     continue;

@@ -163,6 +163,30 @@ checkEntry(Multicore &m, CoreId h, L2Cache::Entry e,
                            tracked_n, meta.holders.size()));
 }
 
+/**
+ * Check one invalid slot at home tile @p h: it must carry exactly the
+ * state of a never-used slot, because a fill installs a line into it
+ * without resetting anything (SetAssocCache::invalidate clears the
+ * directory state and the classifier records).
+ */
+void
+checkFreeSlot(CoreId h, L2Cache::Entry e, std::vector<std::string> &out)
+{
+    const L2Meta &meta = e.meta();
+    if (meta.dstate != DirState::Uncached || meta.owner != kInvalidCore ||
+        !meta.holders.empty() || meta.sharers.count() != 0 ||
+        meta.sharers.overflowed())
+        out.push_back(vfmt("home %u: invalid L2 slot keeps directory"
+                           " state", h));
+    for (const CoreLocality &r : e.records()) {
+        if (!(r == CoreLocality{})) {
+            out.push_back(vfmt("home %u: invalid L2 slot keeps"
+                               " classifier records", h));
+            break;
+        }
+    }
+}
+
 } // namespace
 
 std::vector<std::string>
@@ -171,11 +195,13 @@ checkInvariants(Multicore &m)
     std::vector<std::string> out;
     const std::uint32_t n = m.config().numCores;
 
-    // Directory side: every valid entry of every home slice.
+    // Directory side: every slot of every home slice.
     for (std::uint32_t h = 0; h < n; ++h) {
         m.tile(static_cast<CoreId>(h)).l2.forEach([&](L2Cache::Entry e) {
             if (e.valid())
                 checkEntry(m, static_cast<CoreId>(h), e, out);
+            else
+                checkFreeSlot(static_cast<CoreId>(h), e, out);
         });
     }
 

@@ -19,6 +19,8 @@
  *  - holder oracle vs L1 residency: every tracked holder really has a
  *    copy, and every L1-resident line is tracked at its home
  *    (inclusion);
+ *  - clean free slots: an invalid L2 slot carries no directory state
+ *    and fresh classifier records (a fill relies on it);
  *  - no stale reads: every S/E L1 copy is word-identical to the home
  *    L2 copy, and the final visible value of every written word (M
  *    copy > L2 copy > DRAM) equals the sequentially-consistent

@@ -97,6 +97,10 @@ TEST(Failures, BadConfigsAreFatal)
     c.numMemControllers = 64; // > cores
     EXPECT_EXIT(c.validate(), testing::ExitedWithCode(1),
                 "numMemControllers");
+
+    c = tinyCfg();
+    c.nRatLevels = kMaxRatLevels + 1; // past the 7-bit level field
+    EXPECT_EXIT(c.validate(), testing::ExitedWithCode(1), "nRATlevels");
 }
 
 TEST(Failures, MalformedTraceIsFatal)

@@ -452,7 +452,7 @@ TEST(Protocol, RatEscalatesThroughEngine)
     const CoreId home = 0; // private page of core 0
     const auto entry = m.tile(home).l2.find(target >> 6);
     ASSERT_TRUE(entry);
-    const auto *rec = m.classifier().peek(*entry.meta().cls, 0);
+    const auto *rec = m.classifier().peek(entry.records(), 0);
     ASSERT_NE(rec, nullptr);
     EXPECT_EQ(rec->mode, Mode::Remote);
     EXPECT_EQ(rec->ratLevel, 1u);

@@ -61,6 +61,26 @@ TEST(Invariants, DetectsPhantomHolder)
     EXPECT_FALSE(checkInvariants(m).empty());
 }
 
+TEST(Invariants, DetectsStateLeftInInvalidSlot)
+{
+    // A fill installs a line into an invalid slot without resetting
+    // it, so an invalid slot must look never-used: stale classifier
+    // records (or directory state) there are a violation.
+    Multicore m(fuzzConfig(4));
+    m.testAccess(0, kA, false);
+    EXPECT_TRUE(checkInvariants(m).empty());
+    L2Cache &l2 = m.tile(1).l2;
+    auto slot = l2.entryAt(0, 0);
+    ASSERT_FALSE(slot.valid());
+    ASSERT_FALSE(slot.records().empty());
+    slot.records()[0].remoteUtil = 2;
+    EXPECT_FALSE(checkInvariants(m).empty());
+    slot.records()[0] = CoreLocality{};
+    EXPECT_TRUE(checkInvariants(m).empty());
+    slot.meta().holders.insert(2);
+    EXPECT_FALSE(checkInvariants(m).empty());
+}
+
 TEST(Invariants, DetectsDualWriters)
 {
     // Two Modified copies of one line is the canonical single-writer
