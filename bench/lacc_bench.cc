@@ -9,7 +9,7 @@
  *   lacc_bench --list | --list-protocols | --list-networks |
  *              --list-engines | --list-faults
  *   lacc_bench [--filter SUBSTR] [--jobs N] [--sim-threads N]
- *              [--scale X] [--repeat N] [--protocol NAME]
+ *              [--scale X] [--protocol NAME]
  *              [--network NAME] [--faults NAME] [--fault-rate X]
  *              [--fault-seed N] [--timeout-ms X] [--resume]
  *              [--json-dir DIR] [--profile] [--quiet]
@@ -29,6 +29,7 @@
 #include "net/factory.hh"
 #include "protocol/factory.hh"
 #include "sim/log.hh"
+#include "sim/overrides.hh"
 #include "system/engine.hh"
 
 using namespace lacc;
@@ -64,9 +65,6 @@ usage(std::FILE *to)
         "                    with --jobs up to the machine's thread\n"
         "                    budget.\n"
         "  --scale X         op-count scale; overrides LACC_SCALE\n"
-        "  --repeat N        simulate every job N times (throughput\n"
-        "                    mode: stats are identical across repeats,\n"
-        "                    wall-clock/ops_per_sec fields accumulate)\n"
         "  --protocol NAME   force every run onto a named coherence\n"
         "                    protocol (see --list-protocols)\n"
         "  --network NAME    force every run onto a named interconnect\n"
@@ -97,9 +95,7 @@ usage(std::FILE *to)
 bool
 parsePositiveDouble(const char *s, double &out)
 {
-    char *end = nullptr;
-    out = std::strtod(s, &end);
-    return end != s && *end == '\0' && out > 0.0;
+    return parseFiniteDouble(s, out) && out > 0.0;
 }
 
 bool
@@ -168,14 +164,7 @@ main(int argc, char **argv)
         } else if (arg == "--scale") {
             if (!parsePositiveDouble(value("--scale"), opts.opScale)) {
                 std::fprintf(stderr,
-                             "--scale wants a positive number\n");
-                return 2;
-            }
-        } else if (arg == "--repeat") {
-            if (!parseUnsigned(value("--repeat"), opts.repeat)) {
-                std::fprintf(stderr,
-                             "--repeat wants an integer in"
-                             " [1, 1024]\n");
+                             "--scale wants a positive finite number\n");
                 return 2;
             }
         } else if (arg == "--sim-threads") {
@@ -194,10 +183,9 @@ main(int argc, char **argv)
         } else if (arg == "--faults") {
             opts.overrides.faults = value("--faults");
         } else if (arg == "--fault-rate") {
-            char *end = nullptr;
-            const char *s = value("--fault-rate");
-            const double rate = std::strtod(s, &end);
-            if (end == s || *end != '\0' || rate < 0.0 || rate > 1.0) {
+            double rate = 0.0;
+            if (!parseFiniteDouble(value("--fault-rate"), rate) ||
+                rate < 0.0 || rate > 1.0) {
                 std::fprintf(stderr,
                              "--fault-rate wants a number in"
                              " [0, 1]\n");
@@ -219,7 +207,8 @@ main(int argc, char **argv)
             if (!parsePositiveDouble(value("--timeout-ms"),
                                      opts.timeoutMs)) {
                 std::fprintf(stderr,
-                             "--timeout-ms wants a positive number\n");
+                             "--timeout-ms wants a positive finite"
+                             " number\n");
                 return 2;
             }
         } else if (arg == "--resume") {

@@ -213,10 +213,9 @@ main(int argc, char **argv)
         } else if (arg == "--faults") {
             ov.faults = value("--faults");
         } else if (arg == "--fault-rate") {
-            char *end = nullptr;
             const char *s = value("--fault-rate");
-            const double rate = std::strtod(s, &end);
-            if (end == s || *end != '\0' || rate < 0.0 || rate > 1.0) {
+            double rate = 0.0;
+            if (!parseFiniteDouble(s, rate) || rate < 0.0 || rate > 1.0) {
                 std::fprintf(stderr,
                              "--fault-rate wants a number in"
                              " [0, 1], got '%s'\n",

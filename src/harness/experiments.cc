@@ -5,9 +5,8 @@
  *
  * Each entry's makeJobs() lays out the sweep grid in a canonical order
  * and its report() consumes the results with a cursor that walks the
- * exact same loop structure, so the text output is byte-identical to
- * the historical standalone bench binaries regardless of how many
- * worker threads executed the sweep.
+ * exact same loop structure, so the text output is byte-identical
+ * regardless of how many worker threads executed the sweep.
  */
 
 #include <cmath>
@@ -87,15 +86,18 @@ class Cursor
         : results_(results)
     {}
 
-    const RunResult &
-    next()
+    /** The next run's full record, including its failed status. */
+    const JobResult &
+    nextJob()
     {
         if (pos_ >= results_.size())
             panic("experiment report consumed %zu results but sweep "
                   "has %zu",
                   pos_ + 1, results_.size());
-        return results_[pos_++].result;
+        return results_[pos_++];
     }
+
+    const RunResult &next() { return nextJob().result; }
 
     /** panic() unless every sweep result was consumed. */
     void
@@ -1302,9 +1304,18 @@ litmusExperiment()
         Table t({"Protocol", "Litmus", "Cycles", "Energy (uJ)",
                  "Func errors"});
         std::uint64_t errors = 0;
+        std::uint64_t failed = 0;
         for (const auto &proto : protocolNames())
             for (const auto &name : litmusNames()) {
-                const auto &r = cur.next();
+                const JobResult &jr = cur.nextJob();
+                if (jr.failed) {
+                    // An aborted run checked nothing: it must never
+                    // count toward "functionally clean".
+                    ++failed;
+                    t.addRow({proto, name, "-", "-", "FAILED"});
+                    continue;
+                }
+                const RunResult &r = jr.result;
                 errors += r.functionalErrors;
                 t.addRow({proto, name,
                           std::to_string(r.completionTime),
@@ -1313,12 +1324,17 @@ litmusExperiment()
             }
         cur.finish();
         t.print(ctx.out);
-        ctx.out << (errors == 0
-                        ? "\nAll litmus runs functionally clean\n"
-                        : "\nFUNCTIONAL ERRORS DETECTED\n");
+        if (failed > 0)
+            ctx.out << "\n" << failed << " of " << ctx.results.size()
+                    << " litmus runs FAILED before completion\n";
+        if (errors > 0)
+            ctx.out << "\nFUNCTIONAL ERRORS DETECTED\n";
+        else if (failed == 0)
+            ctx.out << "\nAll litmus runs functionally clean\n";
         Json fig = Json::object();
         fig["table"] = t.toJson();
         fig["functionalErrors"] = errors;
+        fig["failedRuns"] = failed;
         return fig;
     };
     return e;

@@ -40,12 +40,8 @@ struct Job
 struct JobResult
 {
     Job job;
-    /** Result of the job's (identical) repeats; see repeats below. */
     RunResult result;
-    /** Wall clock summed over all repeats of this job. */
     double wallSeconds = 0.0;
-    /** Times the job was simulated (SweepOptions::repeat). */
-    std::uint32_t repeats = 1;
     /**
      * The run aborted (RunAbort: watchdog timeout or an unrecoverable
      * injected fault). `result` holds defaults; the sink records the
@@ -54,19 +50,6 @@ struct JobResult
      */
     bool failed = false;
     std::string failReason; //!< "<tag>: <detail>" when failed
-
-    /**
-     * Simulated operations per wall second over this job's repeats
-     * (0 when no wall time was recorded).
-     */
-    double
-    opsPerSecond() const
-    {
-        return wallSeconds > 0.0
-                   ? static_cast<double>(result.simOps) * repeats /
-                         wallSeconds
-                   : 0.0;
-    }
 };
 
 /** Everything a report function needs to format its outputs. */
@@ -93,8 +76,7 @@ struct Experiment
 
     /**
      * Write the text output below the banner (the sink prints the
-     * banner from title/subtitle first; the result is byte-identical
-     * to the historical standalone binary) and return the
+     * banner from title/subtitle first) and return the
      * figure-specific JSON fragment (normalized tables, geomeans,
      * ...). The generic run records are added by the sink, not here.
      */

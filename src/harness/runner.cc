@@ -47,7 +47,6 @@ runSweep(const std::vector<Job> &jobs, const SweepOptions &opts)
         opts.overrides.warnIfOverridingSweep(cfgs);
     }
 
-    const unsigned repeat = opts.effectiveRepeat();
     std::atomic<std::size_t> next{0};
 
     const auto worker = [&] {
@@ -60,17 +59,12 @@ runSweep(const std::vector<Job> &jobs, const SweepOptions &opts)
             opts.overrides.apply(job.cfg);
             if (opts.progress)
                 std::fprintf(stderr, "[bench] %s\n", job.label.c_str());
-            // Repeats are bit-identical (deterministic simulation);
-            // keep the first result, accumulate only wall clock.
             const auto start = Clock::now();
             RunResult r;
             bool failed = false;
             std::string reason;
             try {
                 r = runBenchmark(job.bench, job.cfg, scale,
-                                 opts.timeoutMs);
-                for (unsigned rep = 1; rep < repeat; ++rep)
-                    runBenchmark(job.bench, job.cfg, scale,
                                  opts.timeoutMs);
             } catch (const RunAbort &a) {
                 // One doomed cell (watchdog timeout, unrecoverable
@@ -84,7 +78,7 @@ runSweep(const std::vector<Job> &jobs, const SweepOptions &opts)
                                  job.label.c_str(), reason.c_str());
             }
             out[i] = JobResult{job, std::move(r), secondsSince(start),
-                               repeat, failed, std::move(reason)};
+                               failed, std::move(reason)};
         }
     };
 

@@ -48,17 +48,6 @@ struct SweepOptions
     unsigned jobs = 1;
     /** Op-count scale; <= 0 resolves LACC_SCALE (default 1.0). */
     double opScale = -1.0;
-    /**
-     * Simulate every job this many times (throughput mode, maps onto
-     * `lacc_bench --repeat`). Simulations are bit-deterministic, so
-     * the repeats produce identical statistics; only the wall-clock
-     * fields accumulate. Amortizes timer noise when measuring
-     * ops_per_sec on short sweeps.
-     */
-    unsigned repeat = 1;
-
-    /** The repeat count actually executed (0 is treated as 1). */
-    unsigned effectiveRepeat() const { return repeat == 0 ? 1 : repeat; }
     /** Emit a "[bench] <label>" line to stderr as each job starts. */
     bool progress = true;
     /**

@@ -4,8 +4,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <iterator>
+#include <ostream>
 
 #include "sim/log.hh"
 #include "system/report.hh"
@@ -14,7 +14,7 @@ namespace lacc::harness {
 
 namespace {
 
-/** Banner block above every experiment (shape of the old binaries). */
+/** Banner block above every experiment's text output. */
 void
 banner(std::ostream &os, const Experiment &exp)
 {
@@ -81,17 +81,9 @@ profileJson(const prof::Snapshot &snap)
 Json
 documentFor(const ExperimentOutcome &outcome)
 {
-    // Throughput aggregates. sim_ops keeps ONE unit at both document
-    // levels: ops of a single pass over the sweep (top level == sum of
-    // the per-run sim_ops, at any --repeat). ops_per_sec accounts for
-    // the repeats explicitly against the summed simulation wall
-    // (report formatting excluded).
     std::uint64_t total_ops = 0;
-    double sim_wall = 0.0;
-    for (const auto &jr : outcome.results) {
+    for (const auto &jr : outcome.results)
         total_ops += jr.result.simOps;
-        sim_wall += jr.wallSeconds;
-    }
 
     Json doc = Json::object();
     doc["schema_version"] = kBenchJsonSchemaVersion;
@@ -99,16 +91,10 @@ documentFor(const ExperimentOutcome &outcome)
     doc["title"] = outcome.exp->title;
     doc["description"] = outcome.exp->description;
     doc["op_scale"] = outcome.opScale;
-    doc["repeat"] = static_cast<std::uint64_t>(outcome.repeat);
     doc["jobs"] =
         static_cast<std::uint64_t>(outcome.results.size());
     doc["wall_seconds"] = outcome.wallSeconds;
     doc["sim_ops"] = total_ops;
-    doc["wall_ms"] = outcome.wallSeconds * 1e3;
-    doc["ops_per_sec"] =
-        sim_wall > 0.0
-            ? static_cast<double>(total_ops) * outcome.repeat / sim_wall
-            : 0.0;
     doc["figure"] = outcome.figure;
     if (outcome.profiled)
         doc["profile"] = profileJson(outcome.profile);
@@ -119,9 +105,6 @@ documentFor(const ExperimentOutcome &outcome)
         run["label"] = jr.job.label;
         run["bench"] = jr.job.bench;
         run["wall_seconds"] = jr.wallSeconds;
-        run["sim_ops"] = jr.result.simOps;
-        run["wall_ms"] = jr.wallSeconds * 1e3;
-        run["ops_per_sec"] = jr.opsPerSecond();
         // Schema v3: aborted runs (watchdog timeout, unrecoverable
         // injected fault) keep their slot with a default result so
         // grid order survives; checkers skip their per-run checks.
@@ -206,7 +189,6 @@ runExperiment(const Experiment &exp, const SweepOptions &opts,
     ExperimentOutcome outcome;
     outcome.exp = &exp;
     outcome.opScale = resolveOpScale(opts);
-    outcome.repeat = opts.effectiveRepeat();
     banner(text_out, exp);
     if (opts.profile) {
         // Per-experiment attribution: zero the counters, record the
@@ -230,21 +212,6 @@ runExperiment(const Experiment &exp, const SweepOptions &opts,
                                       start)
             .count();
     return outcome;
-}
-
-int
-runLegacyMain(const std::string &name)
-{
-    setVerbose(false);
-    const Experiment *exp = Registry::instance().find(name);
-    if (exp == nullptr) {
-        std::fprintf(stderr, "unknown experiment '%s'\n", name.c_str());
-        return 1;
-    }
-    SweepOptions opts;
-    opts.jobs = 1;
-    runExperiment(*exp, opts, std::cout);
-    return 0;
 }
 
 } // namespace lacc::harness

@@ -2,31 +2,23 @@
  * @file
  * Result sink: assembles the BENCH_<experiment>.json document for a
  * completed sweep (schema kBenchJsonSchemaVersion) and drives whole
- * experiments end to end for the lacc_bench CLI and the thin legacy
- * bench binaries.
+ * experiments end to end for the lacc_bench CLI.
  *
  * Document layout (docs/BENCHMARKS.md has the full schema):
  *
  *   {
- *     "schema_version": 2,
+ *     "schema_version": 4,
  *     "experiment": "fig08",
  *     "title": "...", "description": "...",
- *     "op_scale": 1.0, "repeat": 1,
- *     "jobs": 168, "wall_seconds": 12.3,
- *     "sim_ops": 123456, "wall_ms": 12300.0, "ops_per_sec": 1.0e7,
+ *     "op_scale": 1.0, "jobs": 168, "wall_seconds": 12.3,
+ *     "sim_ops": 123456,
  *     "figure": { ... experiment-specific, incl. "table" ... },
- *     "runs": [ {"label", "bench", "wall_seconds",
- *                "sim_ops", "wall_ms", "ops_per_sec",
+ *     "runs": [ {"label", "bench", "wall_seconds", "status",
  *                "config": {...}, "result": {...}}, ... ]
  *   }
  *
- * Throughput fields (schema v2): sim_ops counts the simulated
- * operations of ONE pass over the sweep at both document levels (the
- * top-level value equals the sum of the per-run values at any
- * --repeat), wall_ms is the wall clock in milliseconds, and
- * ops_per_sec multiplies the repeats back in: sim_ops * repeat /
- * simulation wall seconds (the top-level rate divides by the sum of
- * per-run walls, excluding report formatting).
+ * The top-level sim_ops sums result.sim_ops over the runs. Simulator
+ * speed is measured by perfbench/, not from these documents.
  */
 
 #ifndef LACC_HARNESS_SINK_HH
@@ -49,7 +41,6 @@ struct ExperimentOutcome
     std::vector<JobResult> results;
     Json figure;
     double opScale = 1.0;
-    unsigned repeat = 1;      //!< repeats per job (throughput mode)
     double wallSeconds = 0.0; //!< whole sweep incl. report
     bool profiled = false;    //!< profile holds a --profile snapshot
     prof::Snapshot profile;   //!< per-subsystem exclusive times
@@ -84,12 +75,6 @@ ExperimentOutcome runExperiment(const Experiment &exp,
  * re-run rather than trusted.
  */
 bool validArtifactExists(const std::string &dir, const Experiment &exp);
-
-/**
- * main() body for the thin legacy bench binaries: serial sweep, text
- * to stdout, no JSON. @return process exit code.
- */
-int runLegacyMain(const std::string &name);
 
 } // namespace lacc::harness
 

@@ -1,7 +1,9 @@
 #include "sim/overrides.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "fault/plan.hh"
 #include "net/factory.hh"
@@ -25,7 +27,9 @@ ConfigOverrides::validateOrReport() const
     if (!faults.empty() &&
         !registry::validateName("fault plan", faults, faultNames()))
         ok = false;
-    if (faultRate >= 0.0 && faultRate > 1.0) {
+    // NaN compares false against both bounds, so it would read as
+    // "keep" everywhere else; reject it here explicitly.
+    if (std::isnan(faultRate) || faultRate > 1.0) {
         std::fprintf(stderr,
                      "--fault-rate %g out of range [0, 1]\n", faultRate);
         ok = false;
@@ -80,6 +84,19 @@ ConfigOverrides::warnIfOverridingSweep(
     warn_dim("protocol", protocol, protocolNameFor);
     warn_dim("network", network, networkNameFor);
     warn_dim("faults", faults, faultNameFor);
+}
+
+bool
+parseFiniteDouble(const char *s, double &out)
+{
+    char *end = nullptr;
+    const double v = std::strtod(s, &end);
+    // Overflow ("1e999") comes back as HUGE_VAL, so the finiteness
+    // check covers it too.
+    if (end == s || *end != '\0' || !std::isfinite(v))
+        return false;
+    out = v;
+    return true;
 }
 
 unsigned

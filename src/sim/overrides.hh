@@ -68,6 +68,15 @@ struct ConfigOverrides
 };
 
 /**
+ * Strict full-token parse of a finite floating-point option value.
+ * Both CLIs route every real-valued option through this: "", "2x",
+ * "nan", "inf" and out-of-range values such as "1e999" are rejected
+ * (a NaN or infinity would otherwise slip past range checks written
+ * as comparisons). Callers apply their own range on top.
+ */
+bool parseFiniteDouble(const char *s, double &out);
+
+/**
  * Total-thread budget for a sweep: with @p jobs concurrent runs each
  * using @p sim_threads workers (0/1 = serial), cap the *job* count so
  * jobs x max(sim_threads, 1) stays within @p hw_budget threads.

@@ -1,9 +1,9 @@
 /**
  * @file
- * Shared experiment runner for the bench/ binaries: builds a system
- * for a named benchmark and configuration, runs it, and returns the
- * statistics. Centralizes the op-count scaling knob (environment
- * variable LACC_SCALE) so every figure binary honors it.
+ * Shared experiment runner for the harness and perfbench: builds a
+ * system for a named benchmark and configuration, runs it, and
+ * returns the statistics. Centralizes the op-count scaling knob
+ * (environment variable LACC_SCALE) so every experiment honors it.
  */
 
 #ifndef LACC_SYSTEM_EXPERIMENT_HH
@@ -25,9 +25,8 @@ struct RunResult
     std::uint64_t functionalErrors = 0;
     /**
      * Simulated operations retired by the run (per-core instruction
-     * counts summed). The throughput numerator of the harness's
-     * ops_per_sec metric (schema v2); deterministic for a given
-     * (bench, cfg, scale), unlike wall clock.
+     * counts summed); deterministic for a given (bench, cfg, scale).
+     * Serialized as result.sim_ops in the bench JSON.
      */
     std::uint64_t simOps = 0;
     /**

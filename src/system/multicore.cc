@@ -77,13 +77,19 @@ Multicore::run(Workload &workload)
         static_cast<std::size_t>(workload.footprintBytes() / 8));
 
     if (timeoutMs_ > 0.0) {
+        using Clock = std::chrono::steady_clock;
         watchdogPoll_ = 0;
         watchdogFired_ = false;
+        // Saturate instead of overflowing the clock: a budget beyond
+        // half the clock's remaining range (centuries) never fires.
+        const auto now = Clock::now();
+        const std::chrono::duration<double, std::milli> budget(timeoutMs_);
+        const std::chrono::duration<double, std::milli> headroom =
+            Clock::time_point::max() - now;
         watchdogDeadline_ =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<
-                std::chrono::steady_clock::duration>(
-                std::chrono::duration<double, std::milli>(timeoutMs_));
+            budget < headroom / 2
+                ? now + std::chrono::duration_cast<Clock::duration>(budget)
+                : Clock::time_point::max();
     }
 
     engine_->run(workload);

@@ -89,7 +89,8 @@ class Multicore
      * Arm the wall-clock watchdog: a run exceeding @p ms milliseconds
      * aborts with RunAbort(Timeout) instead of spinning forever (the
      * engines poll cooperatively from their serialized loops).
-     * @p ms <= 0 disarms (the default).
+     * @p ms <= 0 disarms (the default); a budget too large for the
+     * clock (1e300, infinity) saturates and never fires.
      */
     void setTimeoutMs(double ms) { timeoutMs_ = ms; }
 

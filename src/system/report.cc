@@ -119,20 +119,6 @@ cacheToJson(const CacheStats &c)
     return j;
 }
 
-CacheStats
-cacheFromJson(const Json &j)
-{
-    CacheStats c;
-    c.loads = j.at("loads").asUint();
-    c.stores = j.at("stores").asUint();
-    c.loadMisses = j.at("load_misses").asUint();
-    c.storeMisses = j.at("store_misses").asUint();
-    c.evictions = j.at("evictions").asUint();
-    c.invalidationsRecv = j.at("invalidations_recv").asUint();
-    c.fills = j.at("fills").asUint();
-    return c;
-}
-
 Json
 histToJson(const UtilizationHistogram &h)
 {
@@ -149,17 +135,6 @@ histToJson(const UtilizationHistogram &h)
     return j;
 }
 
-UtilizationHistogram
-histFromJson(const Json &j)
-{
-    UtilizationHistogram h;
-    const auto &counts = j.at("counts").elements();
-    for (std::size_t i = 0; i < counts.size() && i < h.counts.size();
-         ++i)
-        h.counts[i] = counts[i].asUint();
-    return h;
-}
-
 Json
 latencyToJson(const LatencyBreakdown &l)
 {
@@ -172,19 +147,6 @@ latencyToJson(const LatencyBreakdown &l)
     j["synchronization"] = l.synchronization;
     j["total"] = l.total();
     return j;
-}
-
-LatencyBreakdown
-latencyFromJson(const Json &j)
-{
-    LatencyBreakdown l;
-    l.compute = j.at("compute").asUint();
-    l.l1ToL2 = j.at("l1_to_l2").asUint();
-    l.l2Waiting = j.at("l2_waiting").asUint();
-    l.l2Sharers = j.at("l2_sharers").asUint();
-    l.offChip = j.at("off_chip").asUint();
-    l.synchronization = j.at("synchronization").asUint();
-    return l;
 }
 
 Json
@@ -201,19 +163,6 @@ energyToJson(const EnergyBreakdown &e)
     return j;
 }
 
-EnergyBreakdown
-energyFromJson(const Json &j)
-{
-    EnergyBreakdown e;
-    e.l1i = j.at("l1i").asDouble();
-    e.l1d = j.at("l1d").asDouble();
-    e.l2 = j.at("l2").asDouble();
-    e.directory = j.at("directory").asDouble();
-    e.router = j.at("router").asDouble();
-    e.link = j.at("link").asDouble();
-    return e;
-}
-
 Json
 missesToJson(const MissBreakdown &m)
 {
@@ -223,17 +172,6 @@ missesToJson(const MissBreakdown &m)
         j[missTypeName(static_cast<MissType>(i))] = m.counts[i];
     j["total"] = m.total();
     return j;
-}
-
-MissBreakdown
-missesFromJson(const Json &j)
-{
-    MissBreakdown m;
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(MissType::NumTypes); ++i)
-        m.counts[i] =
-            j.at(missTypeName(static_cast<MissType>(i))).asUint();
-    return m;
 }
 
 Json
@@ -246,18 +184,6 @@ networkToJson(const NetworkStats &n)
     j["flit_hops"] = n.flitHops;
     j["contention_cycles"] = n.contentionCycles;
     return j;
-}
-
-NetworkStats
-networkFromJson(const Json &j)
-{
-    NetworkStats n;
-    n.unicasts = j.at("unicasts").asUint();
-    n.broadcasts = j.at("broadcasts").asUint();
-    n.flitsInjected = j.at("flits_injected").asUint();
-    n.flitHops = j.at("flit_hops").asUint();
-    n.contentionCycles = j.at("contention_cycles").asUint();
-    return n;
 }
 
 Json
@@ -274,22 +200,6 @@ faultsToJson(const FaultStats &f)
     j["scrubs"] = f.scrubs;
     j["silent_corruptions"] = f.silentCorruptions;
     return j;
-}
-
-FaultStats
-faultsFromJson(const Json &j)
-{
-    FaultStats f;
-    f.linkDrops = j.at("link_drops").asUint();
-    f.linkCorruptions = j.at("link_corruptions").asUint();
-    f.retransmits = j.at("retransmits").asUint();
-    f.nacks = j.at("nacks").asUint();
-    f.softErrors = j.at("soft_errors").asUint();
-    f.eccCorrected = j.at("ecc_corrected").asUint();
-    f.eccDetected = j.at("ecc_detected").asUint();
-    f.scrubs = j.at("scrubs").asUint();
-    f.silentCorruptions = j.at("silent_corruptions").asUint();
-    return f;
 }
 
 Json
@@ -312,28 +222,6 @@ protocolToJson(const ProtocolStats &p)
     j["dram_fetches"] = p.dramFetches;
     j["dram_writebacks"] = p.dramWritebacks;
     return j;
-}
-
-ProtocolStats
-protocolFromJson(const Json &j)
-{
-    ProtocolStats p;
-    p.privateReadGrants = j.at("private_read_grants").asUint();
-    p.privateWriteGrants = j.at("private_write_grants").asUint();
-    p.upgradeGrants = j.at("upgrade_grants").asUint();
-    p.remoteReads = j.at("remote_reads").asUint();
-    p.remoteWrites = j.at("remote_writes").asUint();
-    p.promotions = j.at("promotions").asUint();
-    p.demotions = j.at("demotions").asUint();
-    p.invalidationsSent = j.at("invalidations_sent").asUint();
-    p.broadcastInvals = j.at("broadcast_invals").asUint();
-    p.syncWritebacks = j.at("sync_writebacks").asUint();
-    p.dirtyWritebacks = j.at("dirty_writebacks").asUint();
-    p.l2Evictions = j.at("l2_evictions").asUint();
-    p.rehomeFlushes = j.at("rehome_flushes").asUint();
-    p.dramFetches = j.at("dram_fetches").asUint();
-    p.dramWritebacks = j.at("dram_writebacks").asUint();
-    return p;
 }
 
 } // namespace
@@ -424,50 +312,6 @@ toJson(const RunResult &result)
     j["verify_violations"] = result.verifyViolations;
     j["stats"] = toJson(result.stats);
     return j;
-}
-
-RunResult
-runResultFromJson(const Json &j)
-{
-    RunResult r;
-    r.completionTime = j.at("completion_time").asUint();
-    r.energyTotal = j.at("energy_total").asDouble();
-    r.functionalErrors = j.at("functional_errors").asUint();
-    // Schema v1 documents predate sim_ops, and v2 predates the fault
-    // fields; treat them as optional so archived artifacts stay
-    // loadable.
-    if (const Json *ops = j.find("sim_ops"))
-        r.simOps = ops->asUint();
-    if (const Json *vv = j.find("verify_violations"))
-        r.verifyViolations = vv->asUint();
-
-    const Json &s = j.at("stats");
-    // Aggregates land in core 0 of a perCore vector of the original
-    // size, so completionTime() and the total*() accessors reproduce
-    // the serialized values (per-core detail is intentionally summed).
-    r.stats.perCore.resize(s.at("cores").asUint());
-    if (!r.stats.perCore.empty()) {
-        CoreStats &c0 = r.stats.perCore[0];
-        const Json &totals = s.at("core_totals");
-        c0.instructions = totals.at("instructions").asUint();
-        c0.memReads = totals.at("mem_reads").asUint();
-        c0.memWrites = totals.at("mem_writes").asUint();
-        c0.ifetches = totals.at("ifetches").asUint();
-        c0.finishTime = s.at("completion_time").asUint();
-        c0.latency = latencyFromJson(s.at("latency"));
-        c0.misses = missesFromJson(s.at("misses"));
-        c0.l1i = cacheFromJson(s.at("l1i"));
-        c0.l1d = cacheFromJson(s.at("l1d"));
-    }
-    r.stats.l2 = cacheFromJson(s.at("l2"));
-    r.stats.network = networkFromJson(s.at("network"));
-    r.stats.protocol = protocolFromJson(s.at("protocol"));
-    if (const Json *f = s.find("faults"))
-        r.stats.faults = faultsFromJson(*f);
-    r.stats.energy = energyFromJson(s.at("energy"));
-    r.stats.evictionUtil = histFromJson(s.at("eviction_util"));
-    r.stats.invalidationUtil = histFromJson(s.at("invalidation_util"));
-    return r;
 }
 
 // ---------------------------------------------------------------------------

@@ -63,16 +63,17 @@ double geomean(const std::vector<double> &values);
 
 /**
  * Version stamp written into every BENCH_*.json document.
- * v2 added the throughput fields: top-level repeat / sim_ops /
- * wall_ms / ops_per_sec, the same trio per run record, and sim_ops in
- * every serialized RunResult.
+ * v2 added sim_ops (top level and in every serialized RunResult).
  * v3 added the fault-injection layer: faults / fault_rate / fault_seed
  * in the config block, the "faults" counter object in every stats
  * block, verify_violations in every RunResult, and the per-run
  * "status" field ("ok" / "failed" with fail_reason) written by the
  * sweep sink.
+ * v4 dropped the throughput fields: repeat, wall_ms and ops_per_sec
+ * (top level and per run) and the per-run copy of sim_ops. Simulator
+ * speed is measured by perfbench/.
  */
-constexpr int kBenchJsonSchemaVersion = 3;
+constexpr int kBenchJsonSchemaVersion = 4;
 
 /** Serialize every SystemConfig field (enums as their names). */
 Json toJson(const SystemConfig &cfg);
@@ -88,13 +89,6 @@ Json toJson(const SystemStats &stats);
 
 /** Serialize a RunResult (stats plus the headline scalars). */
 Json toJson(const RunResult &result);
-
-/**
- * Rebuild a RunResult from toJson(RunResult) output. Round-trips every
- * emitted field; per-core detail is not reconstructed (the aggregate
- * vectors land in a single synthetic core so totals are preserved).
- */
-RunResult runResultFromJson(const Json &j);
 
 /**
  * Order-sensitive FNV-1a digest of every *integer* field of

@@ -6,6 +6,7 @@
  * (§3.2), and the one-way restriction (§3.7).
  */
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -520,6 +521,15 @@ struct RefillCase
     std::uint32_t cores;
     std::uint32_t records; //!< expected recordsPerLine()
 };
+
+// gtest's default printer dumps the raw bytes, which hold the name
+// pointer and padding; those differ from run to run and would leak
+// into the test names ctest discovers.
+void
+PrintTo(const RefillCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class Refill : public ::testing::TestWithParam<RefillCase>
 {};

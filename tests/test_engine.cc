@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -291,6 +292,32 @@ TEST(Overrides, ApplySelectsEngineAndFactories)
     EXPECT_TRUE(ConfigOverrides{}.validateOrReport());
     EXPECT_FALSE(ConfigOverrides{}.any());
     EXPECT_TRUE(ov.any());
+}
+
+TEST(Overrides, RejectsNonFiniteRatesAndOptionValues)
+{
+    // A NaN rate compares false against both range bounds; it must be
+    // rejected, not treated as "keep the config's rate".
+    ConfigOverrides ov;
+    ov.faultRate = std::nan("");
+    EXPECT_FALSE(ov.validateOrReport());
+    ov.faultRate = 1.5;
+    EXPECT_FALSE(ov.validateOrReport());
+    ov.faultRate = 0.25;
+    EXPECT_TRUE(ov.validateOrReport());
+
+    double v = -1.0;
+    EXPECT_TRUE(parseFiniteDouble("1e-3", v));
+    EXPECT_DOUBLE_EQ(v, 1e-3);
+    EXPECT_TRUE(parseFiniteDouble("1e300", v));
+    EXPECT_TRUE(parseFiniteDouble("-2", v));
+    EXPECT_DOUBLE_EQ(v, -2.0);
+    for (const char *bad : {"", "2x", " ", "nan", "NAN", "inf", "-inf",
+                            "infinity", "1e999", "0x"}) {
+        v = 7.0;
+        EXPECT_FALSE(parseFiniteDouble(bad, v)) << bad;
+        EXPECT_DOUBLE_EQ(v, 7.0) << bad;
+    }
 }
 
 TEST(Overrides, ClampJobsToBudget)

@@ -7,6 +7,8 @@
  * faults), the transport retransmit path, and the watchdog.
  */
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "fault/injector.hh"
@@ -257,6 +259,20 @@ TEST(FaultSystem, WatchdogAbortsLongRuns)
     } catch (const RunAbort &a) {
         EXPECT_EQ(a.kind(), AbortKind::Timeout);
         EXPECT_STREQ(a.tag(), "timeout");
+    }
+}
+
+TEST(FaultSystem, HugeWatchdogBudgetSaturates)
+{
+    // 1e300 ms (or infinity) overflows the clock if added naively and
+    // fires at once; it must instead mean "never fires".
+    const SystemConfig cfg = faultCfg(FaultKind::None, 0.0);
+    const RunResult ref = runBenchmark("radix", cfg, 0.02);
+    for (const double ms :
+         {1e300, std::numeric_limits<double>::infinity()}) {
+        const RunResult r = runBenchmark("radix", cfg, 0.02, ms);
+        EXPECT_GT(r.completionTime, 0u) << ms;
+        EXPECT_EQ(r.completionTime, ref.completionTime) << ms;
     }
 }
 

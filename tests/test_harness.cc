@@ -1,9 +1,10 @@
 /**
  * @file
  * Harness coverage: JSON value/writer/parser behavior, registry
- * lookup/filtering, RunResult JSON round-trips, the sink document
- * schema, LACC_SCALE validation, and the determinism guard (a 2-job
- * parallel sweep must be bit-identical to the serial run).
+ * lookup/filtering, RunResult JSON serialization, the sink document
+ * schema, the --resume artifact probe, the litmus report's failed-run
+ * accounting, LACC_SCALE validation, and the determinism guard (a
+ * 2-job parallel sweep must be bit-identical to the serial run).
  */
 
 #include <cstdlib>
@@ -184,6 +185,14 @@ TEST(Registry, FindAndFilter)
     ASSERT_EQ(fig1x.size(), 5u); // fig10..fig14 (fig01 does not match)
     EXPECT_EQ(fig1x[0]->name, "fig10");
     EXPECT_TRUE(r.match("zzz").empty());
+
+    // `lacc_bench --filter <name>` is the one entry point per figure:
+    // every full name selects exactly that experiment.
+    for (const auto &name : r.names()) {
+        const auto hit = r.match(name);
+        ASSERT_EQ(hit.size(), 1u) << name;
+        EXPECT_EQ(hit[0]->name, name);
+    }
 }
 
 TEST(Registry, EveryExperimentDescribesItsSweep)
@@ -233,7 +242,7 @@ TEST(OpScale, ValidatesEnvironment)
 }
 
 // ---------------------------------------------------------------------------
-// RunResult JSON round-trip
+// RunResult JSON serialization
 // ---------------------------------------------------------------------------
 
 TEST(RunResultJson, RoundTripsThroughTextAndBack)
@@ -246,27 +255,31 @@ TEST(RunResultJson, RoundTripsThroughTextAndBack)
     std::string err;
     const Json parsed = Json::parse(j.dump(2), &err);
     ASSERT_TRUE(err.empty()) << err;
-    const RunResult back = runResultFromJson(parsed);
+    EXPECT_EQ(parsed, j);
 
-    // Headline scalars and derived aggregates survive.
-    EXPECT_EQ(back.completionTime, r.completionTime);
-    EXPECT_DOUBLE_EQ(back.energyTotal, r.energyTotal);
-    EXPECT_EQ(back.functionalErrors, r.functionalErrors);
-    EXPECT_EQ(back.stats.completionTime(), r.stats.completionTime());
-    EXPECT_EQ(back.stats.totalL1dAccesses(),
+    // Headline scalars and derived aggregates are what the run holds.
+    EXPECT_EQ(parsed.at("completion_time").asUint(), r.completionTime);
+    EXPECT_DOUBLE_EQ(parsed.at("energy_total").asDouble(),
+                     r.energyTotal);
+    EXPECT_EQ(parsed.at("functional_errors").asUint(),
+              r.functionalErrors);
+    const Json &s = parsed.at("stats");
+    EXPECT_EQ(s.at("cores").asUint(), r.stats.perCore.size());
+    EXPECT_EQ(s.at("completion_time").asUint(),
+              r.stats.completionTime());
+    EXPECT_EQ(s.at("l1d").at("loads").asUint() +
+                  s.at("l1d").at("stores").asUint(),
               r.stats.totalL1dAccesses());
-    EXPECT_EQ(back.stats.totalMisses().total(),
+    EXPECT_EQ(s.at("misses").at("total").asUint(),
               r.stats.totalMisses().total());
-    EXPECT_EQ(back.stats.totalLatency().total(),
+    EXPECT_EQ(s.at("latency").at("total").asUint(),
               r.stats.totalLatency().total());
-    EXPECT_DOUBLE_EQ(back.stats.energy.total(), r.stats.energy.total());
-    EXPECT_EQ(back.stats.protocol.remoteReads,
+    EXPECT_DOUBLE_EQ(s.at("energy").at("total").asDouble(),
+                     r.stats.energy.total());
+    EXPECT_EQ(s.at("protocol").at("remote_reads").asUint(),
               r.stats.protocol.remoteReads);
-    EXPECT_EQ(back.stats.evictionUtil.total(),
+    EXPECT_EQ(s.at("eviction_util").at("total").asUint(),
               r.stats.evictionUtil.total());
-
-    // Re-serializing the reconstruction is byte-identical.
-    EXPECT_EQ(toJson(back).dump(2), j.dump(2));
 }
 
 // ---------------------------------------------------------------------------
@@ -307,36 +320,6 @@ TEST(Runner, ParallelSweepBitIdenticalToSerial)
                   toJson(rs[i].result).dump(0))
             << jobs[i].label;
     }
-}
-
-// ---------------------------------------------------------------------------
-// Throughput mode: --repeat determinism
-// ---------------------------------------------------------------------------
-
-TEST(Runner, RepeatedJobsProduceIdenticalStats)
-{
-    std::vector<Job> jobs;
-    jobs.push_back({"matmul", smallConfig(), "repeat probe"});
-
-    SweepOptions once;
-    once.jobs = 1;
-    once.opScale = kTinyScale;
-    once.progress = false;
-    SweepOptions thrice = once;
-    thrice.repeat = 3;
-
-    const auto r1 = runSweep(jobs, once);
-    const auto r3 = runSweep(jobs, thrice);
-    ASSERT_EQ(r1.size(), 1u);
-    ASSERT_EQ(r3.size(), 1u);
-
-    // Simulated results are bit-identical across repeats; only the
-    // wall-clock bookkeeping differs.
-    EXPECT_EQ(toJson(r3[0].result).dump(0), toJson(r1[0].result).dump(0));
-    EXPECT_EQ(r1[0].repeats, 1u);
-    EXPECT_EQ(r3[0].repeats, 3u);
-    EXPECT_GT(r3[0].result.simOps, 0u);
-    EXPECT_GE(r3[0].wallSeconds, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -411,19 +394,120 @@ TEST(Sink, SweepDocumentRecordsRuns)
     EXPECT_GT(run.at("result").at("completion_time").asUint(), 0u);
     EXPECT_GE(run.at("wall_seconds").asDouble(), 0.0);
 
-    // Schema-v2 throughput fields: per-run trio consistent with the
-    // run's result payload, top level aggregates over runs.
-    EXPECT_EQ(doc.at("schema_version").asInt(), 3);
-    EXPECT_EQ(doc.at("repeat").asUint(), 1u);
-    EXPECT_EQ(run.at("sim_ops").asUint(),
-              run.at("result").at("sim_ops").asUint());
-    EXPECT_GT(run.at("sim_ops").asUint(), 0u);
-    EXPECT_DOUBLE_EQ(run.at("wall_ms").asDouble(),
-                     run.at("wall_seconds").asDouble() * 1e3);
-    EXPECT_GE(run.at("ops_per_sec").asDouble(), 0.0);
+    // Schema v4: the top-level sim_ops sums result.sim_ops; the
+    // retired throughput fields appear at neither level.
+    EXPECT_EQ(doc.at("schema_version").asInt(), 4);
+    EXPECT_GT(run.at("result").at("sim_ops").asUint(), 0u);
     std::uint64_t total_ops = 0;
     for (const auto &rr : doc.at("runs").elements())
-        total_ops += rr.at("sim_ops").asUint();
+        total_ops += rr.at("result").at("sim_ops").asUint();
     EXPECT_EQ(doc.at("sim_ops").asUint(), total_ops);
-    EXPECT_GE(doc.at("ops_per_sec").asDouble(), 0.0);
+    for (const char *gone : {"repeat", "wall_ms", "ops_per_sec"})
+        EXPECT_EQ(doc.find(gone), nullptr) << gone;
+    for (const char *gone : {"sim_ops", "wall_ms", "ops_per_sec"})
+        EXPECT_EQ(run.find(gone), nullptr) << gone;
+}
+
+// ---------------------------------------------------------------------------
+// Crash-safe --resume probe
+// ---------------------------------------------------------------------------
+
+TEST(Sink, ValidArtifactExistsOnlyForCompleteCurrentArtifacts)
+{
+    namespace fs = std::filesystem;
+    const Experiment *exp = Registry::instance().find("fig01");
+    ASSERT_NE(exp, nullptr);
+
+    // A complete artifact as the sink writes it, over placeholder
+    // results (the probe never looks inside the run records).
+    ExperimentOutcome outcome;
+    outcome.exp = exp;
+    for (const Job &job : exp->makeJobs()) {
+        JobResult jr;
+        jr.job = job;
+        outcome.results.push_back(std::move(jr));
+    }
+    ASSERT_GT(outcome.results.size(), 1u);
+    const Json good = documentFor(outcome);
+
+    Json truncated = good;
+    Json short_runs = Json::array();
+    const auto &all_runs = good.at("runs").elements();
+    for (std::size_t i = 0; i + 1 < all_runs.size(); ++i)
+        short_runs.push(all_runs[i]);
+    truncated["runs"] = std::move(short_runs);
+    Json wrong_exp = good;
+    wrong_exp["experiment"] = "fig02";
+    Json v3 = good;
+    v3["schema_version"] = 3;
+
+    struct Case
+    {
+        const char *what;
+        const char *text; //!< file contents; nullptr = no file
+        bool valid;
+    };
+    const std::string good_s = good.dump(2);
+    const std::string truncated_s = truncated.dump(2);
+    const std::string wrong_exp_s = wrong_exp.dump(2);
+    const std::string v3_s = v3.dump(2);
+    const std::string cut_s = good_s.substr(0, good_s.size() / 2);
+    const Case cases[] = {
+        {"complete", good_s.c_str(), true},
+        {"missing file", nullptr, false},
+        {"unparseable", cut_s.c_str(), false},
+        {"truncated runs", truncated_s.c_str(), false},
+        {"wrong experiment", wrong_exp_s.c_str(), false},
+        {"schema_version 3", v3_s.c_str(), false},
+    };
+
+    const std::string dir = "test_harness_resume_probe";
+    const fs::path path = fs::path(dir) / ("BENCH_" + exp->name + ".json");
+    for (const Case &c : cases) {
+        fs::remove_all(dir);
+        fs::create_directories(dir);
+        if (c.text != nullptr)
+            std::ofstream(path) << c.text;
+        EXPECT_EQ(validArtifactExists(dir, *exp), c.valid) << c.what;
+    }
+    fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Litmus report: failed runs are never "functionally clean"
+// ---------------------------------------------------------------------------
+
+TEST(LitmusReport, CountsFailedRunsAndNeverClaimsClean)
+{
+    const Experiment *exp = Registry::instance().find("litmus");
+    ASSERT_NE(exp, nullptr);
+    std::vector<JobResult> results;
+    for (const Job &job : exp->makeJobs()) {
+        JobResult jr;
+        jr.job = job;
+        jr.result.completionTime = 100;
+        results.push_back(std::move(jr));
+    }
+    ASSERT_GT(results.size(), 1u);
+
+    const auto report = [&](std::ostringstream &text) {
+        return exp->report(ReportContext{results, kTinyScale, text});
+    };
+    std::ostringstream clean;
+    EXPECT_EQ(report(clean).at("failedRuns").asUint(), 0u);
+    EXPECT_NE(clean.str().find("functionally clean"), std::string::npos);
+
+    results[1].failed = true;
+    results[1].failReason = "timeout: watchdog: run exceeded 0.01 ms";
+    results[1].result = RunResult{};
+    std::ostringstream text;
+    const Json fig = report(text);
+    EXPECT_EQ(fig.at("failedRuns").asUint(), 1u);
+    EXPECT_EQ(fig.at("functionalErrors").asUint(), 0u);
+    EXPECT_EQ(text.str().find("functionally clean"), std::string::npos)
+        << text.str();
+    EXPECT_NE(text.str().find("1 of " + std::to_string(results.size()) +
+                              " litmus runs FAILED"),
+              std::string::npos)
+        << text.str();
 }

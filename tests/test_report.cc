@@ -121,18 +121,12 @@ TEST(Experiment, SimOpsRoundTripsThroughJson)
 
     const Json j = toJson(r);
     EXPECT_EQ(j.at("sim_ops").asUint(), r.simOps);
-    const RunResult back = runResultFromJson(j);
-    EXPECT_EQ(back.simOps, r.simOps);
-
-    // Schema-v1 documents predate sim_ops: reconstruction must not
-    // require it.
-    Json legacy = Json::object();
-    for (const auto &[key, value] : j.items())
-        if (key != "sim_ops")
-            legacy[key] = value;
-    const RunResult old = runResultFromJson(legacy);
-    EXPECT_EQ(old.simOps, 0u);
-    EXPECT_EQ(old.completionTime, r.completionTime);
+    EXPECT_EQ(j.at("stats").at("core_totals").at("instructions").asUint(),
+              r.simOps);
+    std::string err;
+    EXPECT_EQ(Json::parse(j.dump(0), &err).at("sim_ops").asUint(),
+              r.simOps);
+    EXPECT_TRUE(err.empty()) << err;
 }
 
 } // namespace

@@ -1,48 +1,32 @@
 #!/usr/bin/env python3
 """Diff two `lacc_bench --json-dir` output directories.
 
-Prints per-experiment deltas of the headline metrics (completion time,
-total energy, run counts) plus per-run regressions beyond a threshold,
-so a perf PR's artifact can be compared against the previous commit's
-artifact at a glance. Wall-clock fields — including the simulator
-throughput (ops/sec) comparison table printed at the end — are
-reported informationally but never affect the exit status (they depend
-on the machine), and runs are matched by label so grid reorderings are
-detected rather than misattributed.
+Prints per-experiment deltas of the simulated headline metrics
+(completion time, total energy, functional errors) and run counts, so
+a PR's artifact can be compared against the previous commit's artifact
+at a glance. Runs are matched by label so grid reorderings are detected
+rather than misattributed. The wall clock is printed for information
+only and never affects the exit status; simulator speed is measured by
+perfbench/ (python3 perfbench/run.py), not from these documents.
 
 Experiments present in only one directory are skipped with a printed
 note and never count as drift: a PR that adds (or retires) an
 experiment would otherwise permanently fail the perf-smoke comparison
 against the previous commit's artifact at the PR boundary.
 
-Throughput: schema-v2 documents carry ops_per_sec directly; for v1
-documents the rate is derived from the per-run instruction totals and
-wall clocks, so old/new artifacts of different schema versions still
-produce a speedup column.
-
-With --fail-below RATIO the throughput comparison becomes a soft perf
-gate: the exit status also fails when the geomean ops/sec speedup
-(new/old) falls below RATIO. Use a ratio comfortably under 1.0 (e.g.
-0.90) so machine noise doesn't trip it; simulated-metric drift is
-still checked independently.
-
 Exit codes:
-  0  both directories parsed, every common experiment matched within
-     --tolerance (simulated metrics only), and — when --fail-below is
-     given — the geomean ops/sec speedup is at or above the ratio
-  1  simulated metrics drifted beyond --tolerance, a common
-     experiment's run grids disagree, or the geomean speedup fell
-     below --fail-below
+  0  both directories parsed and every common experiment matched
+     within --tolerance
+  1  simulated metrics drifted beyond --tolerance, or a common
+     experiment's run grids disagree
   2  usage / IO error
 
-Typical CI usage (warn-only while the gate beds in):
-  python3 tools/compare_bench_json.py prev-json bench-json \
-      --tolerance 0 --fail-below 0.90
+Typical usage:
+  python3 tools/compare_bench_json.py prev-json bench-json
 """
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -79,65 +63,6 @@ def rel_delta(old, new):
         # A missing metric (schema drift) is always a reportable diff.
         return float("inf")
     return abs(new - old) / abs(old)
-
-
-def ops_per_sec(doc):
-    """Simulator throughput of one document (0.0 when underivable).
-
-    Schema v2 carries the rate; v1 documents derive it from each run's
-    summed instruction count and wall clock.
-    """
-    rate = doc.get("ops_per_sec")
-    if isinstance(rate, (int, float)) and rate > 0:
-        return float(rate)
-    ops = 0
-    wall = 0.0
-    for run in doc.get("runs", []):
-        wall += run.get("wall_seconds", 0.0)
-        sim_ops = run.get("sim_ops")
-        if sim_ops is None:
-            sim_ops = (
-                run.get("result", {})
-                .get("stats", {})
-                .get("core_totals", {})
-                .get("instructions", 0)
-            )
-        ops += sim_ops * doc.get("repeat", 1)
-    return ops / wall if wall > 0 else 0.0
-
-
-def print_throughput_table(old_docs, new_docs):
-    """ops/sec comparison table; returns the geomean speedup (or None).
-
-    The table itself is informational; the returned geomean only
-    affects the exit code when --fail-below is given.
-    """
-    rows = []
-    speedups = []
-    for name in sorted(set(old_docs) & set(new_docs)):
-        old_rate = ops_per_sec(old_docs[name])
-        new_rate = ops_per_sec(new_docs[name])
-        if old_rate > 0 and new_rate > 0:
-            speedup = new_rate / old_rate
-            speedups.append(speedup)
-            rows.append((name, old_rate, new_rate, f"{speedup:.2f}x"))
-        else:
-            rows.append((name, old_rate, new_rate, "n/a"))
-    if not rows:
-        return None
-    print()
-    print("Simulator throughput (machine-dependent):")
-    print(f"  {'experiment':<12} {'old ops/sec':>14} {'new ops/sec':>14}"
-          f" {'speedup':>8}")
-    for name, old_rate, new_rate, speedup in rows:
-        print(f"  {name:<12} {old_rate:>14,.0f} {new_rate:>14,.0f}"
-              f" {speedup:>8}")
-    if not speedups:
-        return None
-    geo = math.exp(sum(math.log(s) for s in speedups) / len(speedups))
-    print(f"  geomean speedup: {geo:.2f}x over {len(speedups)}"
-          " experiment(s)")
-    return geo
 
 
 def duplicate_labels(runs):
@@ -211,12 +136,6 @@ def main(argv):
         "--tolerance", type=float, default=0.0,
         help="relative drift allowed in simulated metrics"
              " (default 0: bit-identical)")
-    parser.add_argument(
-        "--fail-below", type=float, default=None, metavar="RATIO",
-        help="exit nonzero when the geomean ops/sec speedup"
-             " (new/old) is below RATIO (e.g. 0.90 tolerates a 10%%"
-             " slowdown); off by default because wall clocks are"
-             " machine-dependent")
     args = parser.parse_args(argv[1:])
 
     old_docs = load_dir(args.old_dir)
@@ -265,27 +184,13 @@ def main(argv):
             print(line)
         drift += exp_drift
 
-    geomean = print_throughput_table(old_docs, new_docs)
-
     if drift:
         print(f"DRIFT: {drift} simulated-metric difference(s) beyond"
               f" tolerance {args.tolerance}")
         return 1
-    if args.fail_below is not None:
-        if geomean is None:
-            print(f"SLOW: --fail-below {args.fail_below} given but no"
-                  " geomean speedup could be derived")
-            return 1
-        if geomean < args.fail_below:
-            print(f"SLOW: geomean ops/sec speedup {geomean:.3f}x is"
-                  f" below --fail-below {args.fail_below}")
-            return 1
     print("PASS: all common experiments match"
           + (f" within tolerance {args.tolerance}"
-             if args.tolerance else " bit-identically")
-          + (f"; geomean speedup {geomean:.2f}x >="
-             f" {args.fail_below}"
-             if args.fail_below is not None else ""))
+             if args.tolerance else " bit-identically"))
     return 0
 
 
