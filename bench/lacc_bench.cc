@@ -15,6 +15,7 @@
  *              [--json-dir DIR] [--profile] [--quiet]
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -56,8 +57,9 @@ usage(std::FILE *to)
         "  --list-faults     list fault-plan names and exit\n"
         "  --filter SUBSTR   only experiments whose name contains"
         " SUBSTR\n"
-        "  --jobs N          worker threads for the sweeps"
-        " (default 1)\n"
+        "  --jobs N          worker threads for the sweeps, in"
+        " [1, 1024]\n"
+        "                    (default 1)\n"
         "  --sim-threads N   worker threads inside each simulation\n"
         "                    (N > 1 selects the sharded engine;"
         " results\n"
@@ -73,7 +75,8 @@ usage(std::FILE *to)
         "                    (see --list-faults)\n"
         "  --fault-rate X    base per-event fault probability in"
         " [0, 1]\n"
-        "  --fault-seed N    fault-schedule seed (independent of the\n"
+        "  --fault-seed N    decimal fault-schedule seed (independent"
+        " of the\n"
         "                    workload seed; same seed => identical\n"
         "                    fault schedule)\n"
         "  --timeout-ms X    per-run wall-clock watchdog; an expired\n"
@@ -96,17 +99,6 @@ bool
 parsePositiveDouble(const char *s, double &out)
 {
     return parseFiniteDouble(s, out) && out > 0.0;
-}
-
-bool
-parseUnsigned(const char *s, unsigned &out)
-{
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(s, &end, 10);
-    if (end == s || *end != '\0' || v == 0 || v > 1024)
-        return false;
-    out = static_cast<unsigned>(v);
-    return true;
 }
 
 } // namespace
@@ -156,11 +148,8 @@ main(int argc, char **argv)
         } else if (arg == "--filter") {
             filter = value("--filter");
         } else if (arg == "--jobs") {
-            if (!parseUnsigned(value("--jobs"), opts.jobs)) {
-                std::fprintf(stderr,
-                             "--jobs wants an integer in [1, 1024]\n");
-                return 2;
-            }
+            opts.jobs = static_cast<unsigned>(
+                parseOrDie("--jobs", value("--jobs"), 1, 1024));
         } else if (arg == "--scale") {
             if (!parsePositiveDouble(value("--scale"), opts.opScale)) {
                 std::fprintf(stderr,
@@ -168,14 +157,9 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--sim-threads") {
-            unsigned st = 0;
-            if (!parseUnsigned(value("--sim-threads"), st)) {
-                std::fprintf(stderr,
-                             "--sim-threads wants an integer in"
-                             " [1, 1024]\n");
-                return 2;
-            }
-            opts.overrides.simThreads = st;
+            opts.overrides.simThreads = static_cast<std::uint32_t>(
+                parseOrDie("--sim-threads", value("--sim-threads"), 1,
+                           1024));
         } else if (arg == "--protocol") {
             opts.overrides.protocol = value("--protocol");
         } else if (arg == "--network") {
@@ -193,15 +177,8 @@ main(int argc, char **argv)
             }
             opts.overrides.faultRate = rate;
         } else if (arg == "--fault-seed") {
-            char *end = nullptr;
-            const char *s = value("--fault-seed");
-            const unsigned long long seed = std::strtoull(s, &end, 0);
-            if (end == s || *end != '\0') {
-                std::fprintf(stderr,
-                             "--fault-seed wants an integer\n");
-                return 2;
-            }
-            opts.overrides.faultSeed = seed;
+            opts.overrides.faultSeed = parseOrDie(
+                "--fault-seed", value("--fault-seed"), 0, UINT64_MAX / 2);
             opts.overrides.faultSeedSet = true;
         } else if (arg == "--timeout-ms") {
             if (!parsePositiveDouble(value("--timeout-ms"),

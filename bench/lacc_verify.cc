@@ -97,49 +97,6 @@ usage(std::FILE *to)
         "  --help            this message\n");
 }
 
-/**
- * Strict full-token decimal parse: every character must be a digit,
- * at most 19 of them, and the value must land in [lo, hi]. "12x",
- * "0x10", "-3", " 5", and "" are all rejected — a typo must never
- * silently verify less than the user asked for.
- */
-bool
-parseU64(const char *s, std::uint64_t lo, std::uint64_t hi,
-         std::uint64_t &out)
-{
-    if (s == nullptr || *s == '\0')
-        return false;
-    std::uint64_t v = 0;
-    int digits = 0;
-    for (const char *p = s; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9')
-            return false;
-        if (++digits > 19)
-            return false;
-        v = v * 10 + static_cast<std::uint64_t>(*p - '0');
-    }
-    if (v < lo || v > hi)
-        return false;
-    out = v;
-    return true;
-}
-
-/** Parse @p s for option @p name or exit 2 with the valid range. */
-std::uint64_t
-parseOrDie(const char *name, const char *s, std::uint64_t lo,
-           std::uint64_t hi)
-{
-    std::uint64_t v = 0;
-    if (!parseU64(s, lo, hi, v)) {
-        std::fprintf(stderr,
-                     "%s wants an integer in [%" PRIu64 ", %" PRIu64
-                     "], got '%s'\n",
-                     name, lo, hi, s);
-        std::exit(2);
-    }
-    return v;
-}
-
 } // namespace
 
 int

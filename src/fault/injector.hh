@@ -4,7 +4,7 @@
  * FaultPlan, owned by the Multicore and consulted from exactly three
  * hook sites — NetworkModel::traverseLink (lossy links), the
  * transport's retransmit path (protocol/messages.hh), and the
- * directory-transaction soft-error hook (protocol/base.cc).
+ * directory-transaction soft-error hook (protocol/controllers.cc).
  *
  * Determinism argument (docs/ARCHITECTURE.md "Fault injection &
  * recovery"): every injection decision is a *pure hash* of the fault

@@ -1,4 +1,4 @@
-#include "protocol/base.hh"
+#include "protocol/controllers.hh"
 
 #include <algorithm>
 
@@ -17,12 +17,12 @@
 namespace lacc {
 
 // ---------------------------------------------------------------------------
-// BaseL1Controller
+// L1Controller
 // ---------------------------------------------------------------------------
 
 void
-BaseL1Controller::access(CoreId c, Addr addr, bool is_write,
-                         bool is_ifetch, bool charge_fetch_energy)
+L1Controller::access(CoreId c, Addr addr, bool is_write, bool is_ifetch,
+                     bool charge_fetch_energy)
 {
     prof::Scope prof_scope(prof::Protocol);
     Tile &tl = *ctx_.tiles[c];
@@ -84,7 +84,7 @@ BaseL1Controller::access(CoreId c, Addr addr, bool is_write,
 }
 
 bool
-BaseL1Controller::touchResidentIfetch(CoreId c, Addr addr)
+L1Controller::touchResidentIfetch(CoreId c, Addr addr)
 {
     Tile &tl = *ctx_.tiles[c];
     auto e = tl.l1i.find(ctx_.addr.lineOf(addr));
@@ -98,8 +98,8 @@ BaseL1Controller::touchResidentIfetch(CoreId c, Addr addr)
 }
 
 L1Cache::Entry
-BaseL1Controller::fill(CoreId c, bool is_ifetch, LineAddr line,
-                       const std::uint64_t *words, L1State st, Cycle t)
+L1Controller::fill(CoreId c, bool is_ifetch, LineAddr line,
+                   const std::uint64_t *words, L1State st, Cycle t)
 {
     Tile &tl = *ctx_.tiles[c];
     L1Cache &l1 = is_ifetch ? tl.l1i : tl.l1d;
@@ -127,8 +127,8 @@ BaseL1Controller::fill(CoreId c, bool is_ifetch, LineAddr line,
 }
 
 void
-BaseL1Controller::applyUpgrade(CoreId c, bool is_ifetch, LineAddr line,
-                               std::uint32_t word, std::uint64_t val)
+L1Controller::applyUpgrade(CoreId c, bool is_ifetch, LineAddr line,
+                           std::uint32_t word, std::uint64_t val)
 {
     Tile &tl = *ctx_.tiles[c];
     L1Cache &l1 = is_ifetch ? tl.l1i : tl.l1d;
@@ -143,8 +143,7 @@ BaseL1Controller::applyUpgrade(CoreId c, bool is_ifetch, LineAddr line,
 }
 
 void
-BaseL1Controller::evict(CoreId c, bool is_ifetch, L1Cache::Entry victim,
-                        Cycle t)
+L1Controller::evict(CoreId c, bool is_ifetch, L1Cache::Entry victim, Cycle t)
 {
     Tile &tl = *ctx_.tiles[c];
     const LineAddr line = victim.tag();
@@ -176,8 +175,8 @@ BaseL1Controller::evict(CoreId c, bool is_ifetch, L1Cache::Entry victim,
 }
 
 DropResult
-BaseL1Controller::dropCopy(CoreId s, LineAddr line, L2Cache::Entry entry,
-                           bool l2_eviction)
+L1Controller::dropCopy(CoreId s, LineAddr line, L2Cache::Entry entry,
+                       bool l2_eviction)
 {
     // Cross-tile reach: the engine must settle core s's in-flight
     // local work before this transaction reads/kills its copies.
@@ -232,7 +231,7 @@ BaseL1Controller::dropCopy(CoreId s, LineAddr line, L2Cache::Entry entry,
 }
 
 bool
-BaseL1Controller::downgradeCopy(CoreId owner, L2Cache::Entry entry)
+L1Controller::downgradeCopy(CoreId owner, L2Cache::Entry entry)
 {
     // Cross-tile reach (see dropCopy): a downgrade turns the owner's
     // E/M copy into S, changing the write-hit outcome of its later
@@ -260,7 +259,7 @@ BaseL1Controller::downgradeCopy(CoreId owner, L2Cache::Entry entry)
 }
 
 bool
-BaseL1Controller::dropOtherCopy(CoreId c, bool is_ifetch, LineAddr line)
+L1Controller::dropOtherCopy(CoreId c, bool is_ifetch, LineAddr line)
 {
     Tile &tl = *ctx_.tiles[c];
     L1Cache &other = is_ifetch ? tl.l1d : tl.l1i;
@@ -279,13 +278,34 @@ BaseL1Controller::dropOtherCopy(CoreId c, bool is_ifetch, LineAddr line)
 }
 
 // ---------------------------------------------------------------------------
-// BaseDirectoryController
+// DirectoryController
 // ---------------------------------------------------------------------------
 
-BaseDirectoryController::BaseDirectoryController(
-    const ProtocolContext &ctx, const SharerList &entry_sharers)
+namespace {
+
+/**
+ * The one place the directory organization is chosen: the SharerList
+ * every entry starts from (§3.1).
+ */
+SharerList
+entrySharersFor(const SystemConfig &cfg)
+{
+    switch (cfg.directoryKind) {
+      case DirectoryKind::Ackwise:
+        return SharerList::makeAckwise(cfg.ackwisePointers);
+      case DirectoryKind::FullMap:
+        return SharerList::makeFullMap(cfg.numCores);
+    }
+    panic("unknown DirectoryKind %u",
+          static_cast<unsigned>(cfg.directoryKind));
+}
+
+} // namespace
+
+DirectoryController::DirectoryController(const ProtocolContext &ctx)
     : ctx_(ctx), classifier_(LocalityClassifier::create(ctx.cfg))
 {
+    const SharerList entry_sharers = entrySharersFor(ctx_.cfg);
     const std::uint32_t records = classifier_->recordsPerLine();
     for (const auto &tp : ctx_.tiles) {
         tp->l2.setRecordsPerLine(records);
@@ -295,7 +315,7 @@ BaseDirectoryController::BaseDirectoryController(
 }
 
 CoreId
-BaseDirectoryController::homeOf(LineAddr line, CoreId requester) const
+DirectoryController::homeOf(LineAddr line, CoreId requester) const
 {
     const auto *rec = ctx_.pageTable.lookup(ctx_.addr.pageOfLine(line));
     if (rec == nullptr)
@@ -305,9 +325,9 @@ BaseDirectoryController::homeOf(LineAddr line, CoreId requester) const
 }
 
 L2Cache::Entry
-BaseDirectoryController::l2FindOrFill(CoreId home, LineAddr line,
-                                      Cycle t_arr, Cycle &t_ready,
-                                      Cycle &waiting, Cycle &offchip)
+DirectoryController::l2FindOrFill(CoreId home, LineAddr line, Cycle t_arr,
+                                  Cycle &t_ready, Cycle &waiting,
+                                  Cycle &offchip)
 {
     prof::Scope cache_scope(prof::Cache);
     Tile &ht = *ctx_.tiles[home];
@@ -352,10 +372,9 @@ BaseDirectoryController::l2FindOrFill(CoreId home, LineAddr line,
 }
 
 void
-BaseDirectoryController::applySoftFaults(CoreId c, CoreId home,
-                                         LineAddr line,
-                                         L2Cache::Entry entry, Cycle t,
-                                         Cycle &corr, Cycle &scrub)
+DirectoryController::applySoftFaults(CoreId c, CoreId home, LineAddr line,
+                                     L2Cache::Entry entry, Cycle t,
+                                     Cycle &corr, Cycle &scrub)
 {
     FaultInjector &inj = *ctx_.fault;
     const FaultPlan &plan = inj.plan();
@@ -464,9 +483,9 @@ BaseDirectoryController::applySoftFaults(CoreId c, CoreId home,
 }
 
 void
-BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
-                                 bool is_ifetch, bool upgrade,
-                                 const L1SetHint &hint)
+DirectoryController::request(CoreId c, Addr addr, bool is_write,
+                             bool is_ifetch, bool upgrade,
+                             const L1SetHint &hint)
 {
     prof::Scope prof_scope(prof::Protocol);
     // Engine guard: a directory transaction must only ever run in a
@@ -669,9 +688,8 @@ BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
 }
 
 Cycle
-BaseDirectoryController::dropAndAck(CoreId s, CoreId home,
-                                    L2Cache::Entry entry,
-                                    bool l2_eviction, Cycle t_arr)
+DirectoryController::dropAndAck(CoreId s, CoreId home, L2Cache::Entry entry,
+                                bool l2_eviction, Cycle t_arr)
 {
     const DropResult dr = l1_->dropCopy(s, entry.tag(), entry,
                                         l2_eviction);
@@ -690,12 +708,26 @@ BaseDirectoryController::dropAndAck(CoreId s, CoreId home,
 }
 
 Cycle
-BaseDirectoryController::fanOutInvalidations(CoreId home,
-                                             L2Cache::Entry entry,
-                                             const HolderVec &targets,
-                                             Cycle t)
+DirectoryController::fanOutInvalidations(CoreId home, L2Cache::Entry entry,
+                                         const HolderVec &targets, Cycle t)
 {
     Cycle t_end = t;
+    if (entry.meta().sharers.overflowed()) {
+        // ACKwise overflow: identities unknown, broadcast instead of
+        // per-sharer unicasts; acks only from the actual sharers
+        // (§3.1). On fabrics without native broadcast the transport
+        // pays the serialized-unicast emulation here — the
+        // topology-sensitivity experiment measures exactly that. The
+        // arrival buffer is a reusable member (the network broadcast
+        // re-assigns it to numCores each call without reallocating).
+        Message bcast{MsgKind::InvalReq, home, home, MsgPayload::None};
+        ctx_.net.broadcast(bcast, t, bcastArrivals_);
+        ++ctx_.stats.protocol.broadcastInvals;
+        for (const CoreId s : targets)
+            t_end = std::max(t_end, dropAndAck(s, home, entry, false,
+                                               bcastArrivals_[s]));
+        return t_end;
+    }
     for (const CoreId s : targets) {
         Message inval{MsgKind::InvalReq, home, s, MsgPayload::None};
         const Cycle t_arr = ctx_.net.send(inval, t);
@@ -706,9 +738,8 @@ BaseDirectoryController::fanOutInvalidations(CoreId home,
 }
 
 Cycle
-BaseDirectoryController::invalidateHolders(CoreId home,
-                                           L2Cache::Entry entry,
-                                           CoreId except, Cycle t)
+DirectoryController::invalidateHolders(CoreId home, L2Cache::Entry entry,
+                                       CoreId except, Cycle t)
 {
     // Snapshot the holder set into the reusable scratch (grant order
     // preserved — fan-out order is modeled timing).
@@ -740,8 +771,7 @@ BaseDirectoryController::invalidateHolders(CoreId home,
 }
 
 Cycle
-BaseDirectoryController::syncWriteback(CoreId home, L2Cache::Entry entry,
-                                       Cycle t)
+DirectoryController::syncWriteback(CoreId home, L2Cache::Entry entry, Cycle t)
 {
     const CoreId o = entry.meta().owner;
     if (o == kInvalidCore)
@@ -761,11 +791,10 @@ BaseDirectoryController::syncWriteback(CoreId home, L2Cache::Entry entry,
 }
 
 void
-BaseDirectoryController::evictionNotice(CoreId home, CoreId c,
-                                        LineAddr line, bool was_modified,
-                                        const std::uint64_t *words,
-                                        std::uint32_t util,
-                                        bool still_holds)
+DirectoryController::evictionNotice(CoreId home, CoreId c, LineAddr line,
+                                    bool was_modified,
+                                    const std::uint64_t *words,
+                                    std::uint32_t util, bool still_holds)
 {
     auto he = ctx_.tiles[home]->l2.find(line);
     if (!he)
@@ -803,8 +832,7 @@ BaseDirectoryController::evictionNotice(CoreId home, CoreId c,
 }
 
 void
-BaseDirectoryController::l2Evict(CoreId home, L2Cache::Entry victim,
-                                 Cycle t)
+DirectoryController::l2Evict(CoreId home, L2Cache::Entry victim, Cycle t)
 {
     const LineAddr line = victim.tag();
     // Snapshot into the eviction scratch: dropAndAck below consults
@@ -836,8 +864,7 @@ BaseDirectoryController::l2Evict(CoreId home, L2Cache::Entry victim,
 }
 
 void
-BaseDirectoryController::flushPage(CoreId old_home, PageAddr page,
-                                   Cycle t)
+DirectoryController::flushPage(CoreId old_home, PageAddr page, Cycle t)
 {
     const std::uint32_t lines_per_page = ctx_.addr.linesPerPage();
     const LineAddr first = ctx_.addr.firstLineOf(page);

@@ -1,7 +1,5 @@
 #include "protocol/factory.hh"
 
-#include "protocol/fullmap.hh"
-#include "protocol/lacc.hh"
 #include "sim/config.hh"
 #include "sim/named_registry.hh"
 
@@ -11,36 +9,22 @@ namespace {
 
 /**
  * The single registration point: adding a protocol means adding one
- * entry here (plus its DirectoryKind, if it needs a new one). Lookup
- * and diagnostics come from the shared named-registry helpers.
+ * entry here plus its DirectoryKind and SharerList organization (see
+ * protocol/controllers.cc). Lookup and diagnostics come from the
+ * shared named-registry helpers.
  */
 struct ProtocolEntry
 {
     const char *name;
     DirectoryKind kind;
-    std::unique_ptr<CoherenceProtocol> (*make)(const ProtocolContext &);
 };
 
 const ProtocolEntry kProtocols[] = {
-    {"lacc", DirectoryKind::Ackwise,
-     [](const ProtocolContext &ctx) -> std::unique_ptr<CoherenceProtocol> {
-         return std::make_unique<LaccProtocol>(ctx);
-     }},
-    {"fullmap", DirectoryKind::FullMap,
-     [](const ProtocolContext &ctx) -> std::unique_ptr<CoherenceProtocol> {
-         return std::make_unique<FullMapProtocol>(ctx);
-     }},
+    {"lacc", DirectoryKind::Ackwise},
+    {"fullmap", DirectoryKind::FullMap},
 };
 
 } // namespace
-
-std::unique_ptr<CoherenceProtocol>
-makeProtocol(const SystemConfig &cfg, const ProtocolContext &ctx)
-{
-    return registry::entryForKind(kProtocols, cfg.directoryKind,
-                                  "protocol")
-        .make(ctx);
-}
 
 const std::vector<std::string> &
 protocolNames()

@@ -1,34 +1,29 @@
 /**
  * @file
- * Protocol factory: builds the CoherenceProtocol selected by a
- * SystemConfig, and maps protocol names <-> configurations so the
- * harness can sweep protocols by name (`lacc_bench --protocol`).
+ * Protocol names: maps the coherence protocols' names <-> their
+ * configurations, so the harness can sweep protocols by name
+ * (`lacc_bench --protocol`). A protocol here is a directory
+ * organization (SystemConfig::directoryKind); the one controller pair
+ * in protocol/controllers.hh runs all of them.
  */
 
 #ifndef LACC_PROTOCOL_FACTORY_HH
 #define LACC_PROTOCOL_FACTORY_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "protocol/protocol.hh"
-
 namespace lacc {
 
-/**
- * Build the protocol selected by @p cfg (DirectoryKind::Ackwise ->
- * LaccProtocol, DirectoryKind::FullMap -> FullMapProtocol). The
- * returned protocol holds a copy of @p ctx (references into the
- * enclosing Multicore, which must outlive it).
- */
-std::unique_ptr<CoherenceProtocol>
-makeProtocol(const SystemConfig &cfg, const ProtocolContext &ctx);
+struct SystemConfig;
 
-/** Registered protocol names, in factory order: {"lacc", "fullmap"}. */
+/** Registered protocol names, in table order: {"lacc", "fullmap"}. */
 const std::vector<std::string> &protocolNames();
 
-/** Name the factory would select for @p cfg. */
+/**
+ * Name of the protocol @p cfg selects (DirectoryKind::Ackwise ->
+ * "lacc", DirectoryKind::FullMap -> "fullmap").
+ */
 const char *protocolNameFor(const SystemConfig &cfg);
 
 /**

@@ -90,6 +90,9 @@ SystemConfig::validate() const
     if (numCores == 0 || meshWidth == 0 || numCores % meshWidth != 0)
         fatal("numCores (%u) must be a positive multiple of meshWidth (%u)",
               numCores, meshWidth);
+    if (numCores > kInvalidCore)
+        fatal("numCores (%u) exceeds %u (CoreId is 16-bit)", numCores,
+              static_cast<unsigned>(kInvalidCore));
     if (lineSize == 0 || (lineSize & (lineSize - 1)) != 0)
         fatal("lineSize (%u) must be a power of two", lineSize);
     if (pageSize < lineSize || (pageSize & (pageSize - 1)) != 0)

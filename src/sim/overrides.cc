@@ -1,6 +1,7 @@
 #include "sim/overrides.hh"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -97,6 +98,42 @@ parseFiniteDouble(const char *s, double &out)
         return false;
     out = v;
     return true;
+}
+
+bool
+parseU64(const char *s, std::uint64_t lo, std::uint64_t hi,
+         std::uint64_t &out)
+{
+    if (s == nullptr || *s == '\0')
+        return false;
+    std::uint64_t v = 0;
+    int digits = 0;
+    for (const char *p = s; *p != '\0'; ++p) {
+        if (*p < '0' || *p > '9')
+            return false;
+        if (++digits > 19)
+            return false;
+        v = v * 10 + static_cast<std::uint64_t>(*p - '0');
+    }
+    if (v < lo || v > hi)
+        return false;
+    out = v;
+    return true;
+}
+
+std::uint64_t
+parseOrDie(const char *name, const char *s, std::uint64_t lo,
+           std::uint64_t hi)
+{
+    std::uint64_t v = 0;
+    if (!parseU64(s, lo, hi, v)) {
+        std::fprintf(stderr,
+                     "%s wants an integer in [%" PRIu64 ", %" PRIu64
+                     "], got '%s'\n",
+                     name, lo, hi, s);
+        std::exit(2);
+    }
+    return v;
 }
 
 unsigned

@@ -4,7 +4,8 @@
  * bench/lacc_verify.cc) accept --protocol/--network/--sim-threads
  * overrides that rewrite SystemConfigs built elsewhere (experiment
  * definitions, fuzz configs). The validation, application, and
- * "you are overriding a deliberate sweep" diagnostics live here once.
+ * "you are overriding a deliberate sweep" diagnostics live here once,
+ * as do the strict number parsers both CLIs use for option values.
  */
 
 #ifndef LACC_SIM_OVERRIDES_HH
@@ -75,6 +76,23 @@ struct ConfigOverrides
  * as comparisons). Callers apply their own range on top.
  */
 bool parseFiniteDouble(const char *s, double &out);
+
+/**
+ * Strict full-token decimal parse of an integer option value: every
+ * character must be a digit, at most 19 of them, and the value must
+ * land in [@p lo, @p hi]. "12x", "0x10", "-3", "+4", " 5" and "" are
+ * all rejected — a typo must never silently run something other than
+ * what the user asked for.
+ */
+bool parseU64(const char *s, std::uint64_t lo, std::uint64_t hi,
+              std::uint64_t &out);
+
+/**
+ * parseU64 for option @p name, or print the valid range to stderr and
+ * exit 2 (the CLIs' usage-error code).
+ */
+std::uint64_t parseOrDie(const char *name, const char *s,
+                         std::uint64_t lo, std::uint64_t hi);
 
 /**
  * Total-thread budget for a sweep: with @p jobs concurrent runs each

@@ -89,7 +89,7 @@ class SerialEngine final : public ExecutionEngine
 
 /**
  * Build the engine selected by @p cfg.engineKind for @p m (which must
- * outlive it). Mirrors makeProtocol/makeNetwork.
+ * outlive it). Mirrors makeNetwork.
  */
 std::unique_ptr<ExecutionEngine> makeEngine(const SystemConfig &cfg,
                                             Multicore &m);

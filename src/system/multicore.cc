@@ -36,7 +36,7 @@ Multicore::Multicore(const SystemConfig &cfg)
                                                 cfg_));
     stats_.perCore.resize(cfg_.numCores);
     mem_.setCores(cfg_.numCores);
-    // Fault injector before the protocol: the network, the transport,
+    // Fault injector before the controllers: the network, the transport,
     // and the directory controllers each hold a pointer (null under
     // FaultPlan none, keeping every hook a single untaken branch).
     if (cfg_.faultKind != FaultKind::None) {
@@ -44,14 +44,17 @@ Multicore::Multicore(const SystemConfig &cfg)
         network_->setFaultInjector(fault_.get());
         net_.setFaultInjector(fault_.get());
     }
-    // Engine before protocol: the controllers copy the context (and
-    // with it the engine's touch-observer pointer) by value.
+    // Engine before the controllers: they copy the context (and with
+    // it the engine's touch-observer pointer) by value.
     engine_ = makeEngine(cfg_, *this);
-    protocol_ = makeProtocol(
-        cfg_, ProtocolContext{cfg_, addr_, tiles_, net_, energy_,
+    const ProtocolContext ctx{cfg_, addr_, tiles_, net_, energy_,
                               dram_, pageTable_, placement_, stats_,
                               mem_, engine_->touchObserver(),
-                              fault_.get()});
+                              fault_.get()};
+    l1_.emplace(ctx);
+    dir_.emplace(ctx);
+    l1_->bind(*dir_);
+    dir_->bind(*l1_);
 }
 
 void
@@ -122,7 +125,7 @@ void
 Multicore::step(CoreId c, const MemOp &op)
 {
     Tile &tl = *tiles_[c];
-    L1Controller &l1 = protocol_->l1();
+    L1Controller &l1 = *l1_;
     switch (op.kind) {
       case MemOp::Kind::Read:
       case MemOp::Kind::Write: {
@@ -196,8 +199,8 @@ Multicore::advanceInstructions(CoreId c, std::uint64_t n,
                                      cfg_.lineSize;
         // Fast path: a resident I-line costs nothing extra (fetch is
         // pipelined); only misses stall the core.
-        if (!protocol_->l1().touchResidentIfetch(c, addr))
-            protocol_->l1().access(c, addr, false, true, false);
+        if (!l1_->touchResidentIfetch(c, addr))
+            l1_->access(c, addr, false, true, false);
     }
 }
 
@@ -287,7 +290,7 @@ Multicore::handleLockAcquire(CoreId c, std::uint32_t id,
     if (id >= locks_.size())
         fatal("lock id %u out of range (%zu locks)", id, locks_.size());
     Tile &tl = *tiles_[c];
-    protocol_->l1().access(c, workload.lockAddr(id), true, false);
+    l1_->access(c, workload.lockAddr(id), true, false);
     const Cycle t_end = tl.now;
 
     if (locks_[id].tryAcquire(c)) {
@@ -307,7 +310,7 @@ Multicore::handleLockRelease(CoreId c, std::uint32_t id,
     Tile &tl = *tiles_[c];
     if (locks_[id].holder() != c)
         fatal("core %u releases lock %u it does not hold", c, id);
-    protocol_->l1().access(c, workload.lockAddr(id), true, false);
+    l1_->access(c, workload.lockAddr(id), true, false);
     const Cycle t_end = tl.now;
 
     LockState::Waiter w{};
@@ -330,7 +333,7 @@ Multicore::testAccess(CoreId core, Addr addr, bool is_write,
 {
     if (is_write && is_ifetch)
         fatal("testAccess: an ifetch cannot be a write");
-    protocol_->l1().access(core, addr, is_write, is_ifetch);
+    l1_->access(core, addr, is_write, is_ifetch);
     return tiles_[core]->now;
 }
 

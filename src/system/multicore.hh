@@ -1,11 +1,12 @@
 /**
  * @file
- * The whole-system simulator: a tiled multicore running a pluggable
- * coherence protocol (protocol/factory.hh) on a Private-L1 Shared-L2
+ * The whole-system simulator: a tiled multicore running the coherence
+ * controllers (protocol/controllers.hh) on a Private-L1 Shared-L2
  * (R-NUCA) organization. The default protocol is the paper's
- * Locality-Aware Adaptive Coherence over ACKwise_p directories
- * (protocol/lacc.hh); the full-map baseline is selected via
- * SystemConfig::directoryKind (protocol/fullmap.hh).
+ * Locality-Aware Adaptive Coherence over ACKwise_p directories; the
+ * full-map baseline is the same controllers over full-map directory
+ * entries, selected via SystemConfig::directoryKind (named "lacc" and
+ * "fullmap" by protocol/factory.hh).
  *
  * Modeling level mirrors the paper's Graphite setup (§4.1):
  * trace-driven in-order 1-IPC cores with per-core clocks (lax
@@ -21,8 +22,8 @@
  * barrier/lock synchronization, warm-up stats resets, and functional
  * checking. The coherence state machine — miss transactions,
  * invalidation fan-out, write-backs, L1/L2 fills and evictions, the
- * remote-word path — lives behind the protocol layer's
- * L1Controller/DirectoryController interfaces.
+ * remote-word path — lives in the protocol layer's
+ * L1Controller/DirectoryController pair.
  *
  * Directory transactions execute atomically in simulated-time order:
  * protocol state updates are instantaneous at transaction processing
@@ -37,6 +38,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/classifier.hh"
@@ -44,9 +46,8 @@
 #include "energy/model.hh"
 #include "fault/injector.hh"
 #include "net/factory.hh"
-#include "protocol/factory.hh"
+#include "protocol/controllers.hh"
 #include "protocol/messages.hh"
-#include "protocol/protocol.hh"
 #include "rnuca/page_table.hh"
 #include "rnuca/placement.hh"
 #include "sim/addr_map.hh"
@@ -131,12 +132,12 @@ class Multicore
     const PageTable &pageTable() const { return pageTable_; }
     /** R-NUCA line-to-home-slice placement policy. */
     const Placement &placement() const { return placement_; }
-    /** The coherence protocol this system runs (factory-selected). */
-    CoherenceProtocol &protocol() { return *protocol_; }
+    /** The home-slice (directory) side of the coherence protocol. */
+    DirectoryController &directory() { return *dir_; }
     /** The execution engine driving the event loop (factory-selected). */
     ExecutionEngine &engine() { return *engine_; }
     /** The system-wide locality classifier policy object. */
-    LocalityClassifier &classifier() { return protocol_->classifier(); }
+    LocalityClassifier &classifier() { return dir_->classifier(); }
     /** The DRAM model behind the memory controllers. */
     DramModel &dram() { return dram_; }
     /** The functional reference memory (verification oracle). */
@@ -213,13 +214,14 @@ class Multicore
 
     /**
      * The pluggable execution engine (SystemConfig::engineKind) —
-     * constructed before the protocol so its touch observer can be
+     * constructed before the controllers so its touch observer can be
      * wired into the ProtocolContext.
      */
     std::unique_ptr<ExecutionEngine> engine_;
 
-    /** The pluggable coherence engine (constructed after the tiles). */
-    std::unique_ptr<CoherenceProtocol> protocol_;
+    /** The coherence controllers (constructed after the engine). */
+    std::optional<L1Controller> l1_;
+    std::optional<DirectoryController> dir_;
 
     // Event loop (owned by the engine; set for the duration of run()).
     Workload *workload_ = nullptr;

@@ -4,9 +4,9 @@
  * L1-I and L1-D caches, an L2 slice with the integrated directory, and
  * per-core statistics. The network router is shared infrastructure
  * (net/network.hh, a factory-built NetworkModel — 2-D mesh by
- * default); the directory state machine lives in the
- * protocol layer (protocol/base.hh), which owns every mutation of the
- * L2Meta directory entries embedded here.
+ * default); the directory state machine lives in the protocol layer
+ * (protocol/controllers.hh), which owns every mutation of the L2Meta
+ * directory entries embedded here.
  */
 
 #ifndef LACC_SYSTEM_TILE_HH

@@ -1,7 +1,7 @@
 /**
  * @file
  * Randomized litmus fuzzer: generate tiny sharing-heavy multi-core
- * traces, run them through every factory protocol (and a couple of
+ * traces, run them through every named protocol (and a couple of
  * fabrics), and check every protocol invariant plus the
  * sequentially-consistent reference memory (verify/invariants.hh) —
  * both after the full timed run and under a stepwise replay that
@@ -37,7 +37,7 @@ struct FuzzOptions
     std::uint32_t iters = 25;     //!< traces to generate
     std::uint32_t cores = 4;      //!< cores per trace
     std::uint32_t opsPerCore = 24;
-    /** Protocol factory key; empty = every factory protocol. */
+    /** Protocol name; empty = every named protocol. */
     std::string protocol;
     /** Network factory key; empty = {"mesh", "xbar"}. */
     std::string network;

@@ -215,7 +215,7 @@ checkInvariants(Multicore &m)
                 if (!e.valid())
                     return;
                 const LineAddr line = e.tag();
-                const CoreId home = m.protocol().directory().homeOf(
+                const CoreId home = m.directory().homeOf(
                     line, static_cast<CoreId>(c));
                 auto he = m.tile(home).l2.find(line);
                 if (!he) {

@@ -126,6 +126,10 @@ TraceWorkload::parse(std::istream &in, std::string name)
                 !parseDecimal(locks_tok, num_locks) || num_cores == 0)
                 fatal("trace header malformed at line %zu (want"
                       " 'trace <numCores> <numLocks>')", line_no);
+            if (num_cores > kInvalidCore)
+                fatal("trace header asks for %u cores at line %zu (at"
+                      " most %u: CoreId is 16-bit)", num_cores, line_no,
+                      static_cast<unsigned>(kInvalidCore));
             rejectTrailing(ls, line_no);
             streams.assign(num_cores, {});
             continue;

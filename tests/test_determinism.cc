@@ -13,6 +13,11 @@
  * If a change is *meant* to alter protocol behavior, re-run this
  * binary and update the goldens below with the printed values.
  *
+ * ACKwise_1 goldens pin the overflow-broadcast path, which none of the
+ * default-config goldens reaches, and a cross-check requires the
+ * full-map directory to digest identically wherever ACKwise never
+ * broadcasts (the two differ only in that path).
+ *
  * A second group re-runs a grid through the harness sweep runner
  * serially and with 4 worker threads and requires bit-identical
  * digests (the `--jobs 4` determinism contract of lacc_bench).
@@ -65,14 +70,30 @@ mixedSpec()
     return s;
 }
 
-std::uint64_t
-signatureFor(const SystemConfig &cfg)
+/** Stats digest of one run plus the broadcasts it sent. */
+struct RunDigest
 {
-    SyntheticWorkload wl(mixedSpec(), cfg);
+    std::uint64_t signature;
+    std::uint64_t broadcasts;
+};
+
+/** Run the mixed workload, sized to @p cfg's core count. */
+RunDigest
+runDigest(const SystemConfig &cfg)
+{
+    SyntheticSpec spec = mixedSpec();
+    spec.numCores = cfg.numCores;
+    SyntheticWorkload wl(spec, cfg);
     Multicore m(cfg);
     const SystemStats &stats = m.run(wl);
     EXPECT_EQ(m.functionalErrors(), 0u);
-    return statsSignature(stats);
+    return {statsSignature(stats), stats.protocol.broadcastInvals};
+}
+
+std::uint64_t
+signatureFor(const SystemConfig &cfg)
+{
+    return runDigest(cfg).signature;
 }
 
 std::uint64_t
@@ -155,23 +176,24 @@ const Golden kNetworkGoldens64[] = {
     {ClassifierKind::Limited, "xbar", 0x4be36b36d2539cf5ULL},
 };
 
-std::uint64_t
-signature64(const char *network, std::uint32_t sim_threads)
+SystemConfig
+cfg64(const char *network)
 {
     SystemConfig cfg; // defaults: 64 cores, 8-wide mesh
     cfg.classifierKind = ClassifierKind::Limited;
     applyNetworkName(cfg, network);
+    return cfg;
+}
+
+std::uint64_t
+signature64(const char *network, std::uint32_t sim_threads)
+{
+    SystemConfig cfg = cfg64(network);
     if (sim_threads > 1) {
         cfg.engineKind = EngineKind::Sharded;
         cfg.simThreads = sim_threads;
     }
-    SyntheticSpec spec = mixedSpec();
-    spec.numCores = 64;
-    SyntheticWorkload wl(spec, cfg);
-    Multicore m(cfg);
-    const SystemStats &stats = m.run(wl);
-    EXPECT_EQ(m.functionalErrors(), 0u);
-    return statsSignature(stats);
+    return signatureFor(cfg);
 }
 
 TEST(Determinism, GoldenHash64CoresPerNetworkTopology)
@@ -188,6 +210,64 @@ TEST(Determinism, GoldenHash64CoresPerNetworkTopology)
             << "64-core " << g.name
             << ": sharded engine diverges from serial";
     }
+}
+
+// ACKwise_1 goldens (Limited classifier, 8 cores): one pointer per
+// entry, so every second sharer overflows the list and the next write
+// broadcasts its invalidation (§3.1). None of the goldens above sends
+// a single broadcast; these pin the overflow path.
+const Golden kAckwise1Goldens[] = {
+    {ClassifierKind::Limited, "mesh", 0x4288e0f641e70545ULL},
+    {ClassifierKind::Limited, "xbar", 0xaacdea687524a674ULL},
+};
+
+TEST(Determinism, GoldenHashAckwise1Broadcast)
+{
+    for (const auto &g : kAckwise1Goldens) {
+        SystemConfig cfg = cfg8(g.kind);
+        cfg.ackwisePointers = 1;
+        applyNetworkName(cfg, g.name);
+        const RunDigest d = runDigest(cfg);
+        EXPECT_EQ(d.signature, g.signature)
+            << "ACKwise_1 " << g.name
+            << " stats signature drifted; actual 0x" << std::hex
+            << d.signature
+            << " — update the golden only if the change is"
+               " intentional";
+        EXPECT_GT(d.broadcasts, 0u)
+            << "ACKwise_1 " << g.name << " sent no broadcast";
+    }
+}
+
+TEST(Determinism, FullMapMatchesAckwiseWithoutBroadcasts)
+{
+    // ACKwise and full-map differ only once a sharer list overflows:
+    // until then both track exact identities and unicast every
+    // invalidation. Every golden config above that sends no
+    // broadcast must therefore digest identically under fullmap.
+    std::vector<SystemConfig> cfgs;
+    for (const auto &g : kGoldens)
+        cfgs.push_back(cfg8(g.kind));
+    for (const auto &g : kNetworkGoldens) {
+        cfgs.push_back(cfg8(g.kind));
+        applyNetworkName(cfgs.back(), g.name);
+    }
+    for (const auto &g : kNetworkGoldens64)
+        cfgs.push_back(cfg64(g.name));
+
+    std::size_t compared = 0;
+    for (const SystemConfig &ack : cfgs) {
+        ASSERT_EQ(ack.directoryKind, DirectoryKind::Ackwise);
+        const RunDigest a = runDigest(ack);
+        if (a.broadcasts != 0)
+            continue;
+        SystemConfig full = ack;
+        full.directoryKind = DirectoryKind::FullMap;
+        EXPECT_EQ(runDigest(full).signature, a.signature)
+            << ack.summary();
+        ++compared;
+    }
+    EXPECT_GT(compared, 0u);
 }
 
 TEST(Determinism, TopologiesProduceDistinctTraffic)

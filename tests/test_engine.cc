@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "net/factory.hh"
+#include "protocol/factory.hh"
 #include "sim/overrides.hh"
 #include "system/engine.hh"
 #include "system/multicore.hh"

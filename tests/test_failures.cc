@@ -103,6 +103,15 @@ TEST(Failures, BadConfigsAreFatal)
     EXPECT_EXIT(c.validate(), testing::ExitedWithCode(1), "nRATlevels");
 }
 
+TEST(Failures, ConfigCoreCountBeyondCoreIdIsFatal)
+{
+    SystemConfig c = tinyCfg();
+    c.numCores = 65536; // one past the 16-bit CoreId space
+    c.meshWidth = 256;
+    EXPECT_EXIT(c.validate(), testing::ExitedWithCode(1),
+                "numCores \\(65536\\) exceeds 65535");
+}
+
 TEST(Failures, MalformedTraceIsFatal)
 {
     {
@@ -130,6 +139,15 @@ TEST(Failures, MalformedTraceIsFatal)
         EXPECT_EXIT(TraceWorkload::parse(is, "x"),
                     testing::ExitedWithCode(1), "bad address");
     }
+}
+
+TEST(Failures, TraceCoreCountBeyondCoreIdIsFatal)
+{
+    // CoreId is 16-bit: a header asking for more cores must fail on
+    // its line, not allocate one stream per requested core.
+    std::istringstream is("# header\ntrace 65536 0\n");
+    EXPECT_EXIT(TraceWorkload::parse(is, "x"),
+                testing::ExitedWithCode(1), "65536 cores at line 2");
 }
 
 TEST(Failures, PartiallyNumericTraceTokensAreFatal)

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "net/mesh.hh"
+#include "protocol/factory.hh"
 #include "system/multicore.hh"
+#include "system/report.hh"
 #include "verify/invariants.hh"
 #include "workload/trace_file.hh"
 
@@ -564,26 +566,66 @@ TEST(Timing, SerializationAtDirectory)
 // Protocol factory (protocol/factory.hh)
 // ---------------------------------------------------------------------------
 
+/** Digest and broadcast count of one traced run. */
+struct SharedWriteRun
+{
+    std::uint64_t signature;
+    std::uint64_t broadcasts;
+};
+
+/**
+ * Three cores read kA, then a fourth writes it: the write's
+ * invalidation reaches two or more sharers, which overflows an
+ * ACKwise_1 entry and forces the broadcast.
+ */
+SharedWriteRun
+runSharedWrite(const SystemConfig &cfg)
+{
+    std::vector<std::vector<MemOp>> streams(4);
+    streams[0] = {MemOp::read(kA)};
+    streams[1] = {MemOp::compute(500), MemOp::read(kA)};
+    streams[2] = {MemOp::compute(1000), MemOp::read(kA)};
+    streams[3] = {MemOp::compute(3000), MemOp::write(kA)};
+    TraceWorkload wl("shared-write", streams, 0);
+    Multicore m(cfg);
+    const SystemStats &st = m.run(wl);
+    EXPECT_EQ(m.functionalErrors(), 0u);
+    return {statsSignature(st), st.protocol.broadcastInvals};
+}
+
 TEST(Factory, SelectsProtocolFromConfig)
 {
-    Multicore ack(baselineCfg());
-    EXPECT_STREQ(ack.protocol().name(), "lacc");
+    auto ack = baselineCfg();
+    ack.ackwisePointers = 1;
+    EXPECT_STREQ(protocolNameFor(ack), "lacc");
 
-    auto fm = baselineCfg();
+    auto fm = ack;
     fm.directoryKind = DirectoryKind::FullMap;
-    Multicore full(fm);
-    EXPECT_STREQ(full.protocol().name(), "fullmap");
+    EXPECT_STREQ(protocolNameFor(fm), "fullmap");
+
+    // The name must select a different directory, not just a label.
+    const SharedWriteRun a = runSharedWrite(ack);
+    const SharedWriteRun f = runSharedWrite(fm);
+    EXPECT_GT(a.broadcasts, 0u);
+    EXPECT_EQ(f.broadcasts, 0u);
+    EXPECT_NE(a.signature, f.signature);
 }
 
 TEST(Factory, NameConfigRoundTrip)
 {
+    std::vector<SharedWriteRun> runs;
     for (const auto &name : protocolNames()) {
         SystemConfig cfg = smallCfg();
+        cfg.ackwisePointers = 1;
         applyProtocolName(cfg, name);
         EXPECT_EQ(protocolNameFor(cfg), name);
-        Multicore m(cfg);
-        EXPECT_EQ(m.protocol().name(), name);
+        runs.push_back(runSharedWrite(cfg));
     }
+    ASSERT_EQ(protocolNames().size(), 2u);
+    // lacc (ACKwise_1) overflows and broadcasts; fullmap never does.
+    EXPECT_GT(runs[0].broadcasts, 0u);
+    EXPECT_EQ(runs[1].broadcasts, 0u);
+    EXPECT_NE(runs[0].signature, runs[1].signature);
 }
 
 TEST(Factory, UnknownProtocolNameIsFatal)
