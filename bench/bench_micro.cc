@@ -19,7 +19,7 @@
 #include "protocol/sharer_list.hh"
 #include "energy/model.hh"
 #include "net/factory.hh"
-#include "net/mesh.hh"
+#include "net/network.hh"
 #include "sim/profiler.hh"
 #include "system/multicore.hh"
 #include "workload/suite.hh"
@@ -145,7 +145,7 @@ void
 BM_MeshUnicast(benchmark::State &state)
 {
     EnergyModel e;
-    MeshNetwork net(microCfg(), e);
+    NetworkModel net(microCfg(), e);
     Cycle t = 0;
     CoreId dst = 1;
     for (auto _ : state) {
@@ -160,7 +160,7 @@ void
 BM_MeshBroadcast(benchmark::State &state)
 {
     EnergyModel e;
-    MeshNetwork net(microCfg(), e);
+    NetworkModel net(microCfg(), e);
     std::vector<Cycle> arrivals;
     Cycle t = 0;
     for (auto _ : state) {
@@ -171,9 +171,9 @@ BM_MeshBroadcast(benchmark::State &state)
 BENCHMARK(BM_MeshBroadcast);
 
 // ---------------------------------------------------------------------------
-// Table-driven network hot paths, per topology (arg 0/1 = contention
-// off/on), plus the hop-by-hop reference walkers for comparison: the
-// table path must beat its reference twin on every topology.
+// Network hot paths, per topology (arg 0/1 = contention off/on): the
+// route and broadcast-tree generator walked directly, plus the
+// coordinate-based hop count every message pays.
 // ---------------------------------------------------------------------------
 
 void
@@ -218,46 +218,21 @@ BENCHMARK_CAPTURE(BM_NetBroadcast, ring, "ring")->Arg(0)->Arg(1);
 BENCHMARK_CAPTURE(BM_NetBroadcast, xbar, "xbar")->Arg(0)->Arg(1);
 
 void
-BM_NetReferenceUnicast(benchmark::State &state, const char *topology)
+BM_NetHopCount(benchmark::State &state, const char *topology)
 {
     auto cfg = microCfg();
-    cfg.modelContention = state.range(0) != 0;
     applyNetworkName(cfg, topology);
     EnergyModel e;
     const auto net = makeNetwork(cfg, e);
-    Cycle t = 0;
+    CoreId src = 0;
     CoreId dst = 1;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(net->referenceUnicast(0, dst, 9, t));
+        benchmark::DoNotOptimize(net->hopCount(src, dst));
+        src = static_cast<CoreId>((src + 5) % 64);
         dst = static_cast<CoreId>((dst + 7) % 64);
-        t += 3;
     }
 }
-BENCHMARK_CAPTURE(BM_NetReferenceUnicast, mesh, "mesh")->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_NetReferenceUnicast, torus, "torus")->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_NetReferenceUnicast, ring, "ring")->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_NetReferenceUnicast, xbar, "xbar")->Arg(0)->Arg(1);
-
-void
-BM_NetReferenceBroadcast(benchmark::State &state, const char *topology)
-{
-    auto cfg = microCfg();
-    cfg.modelContention = state.range(0) != 0;
-    applyNetworkName(cfg, topology);
-    EnergyModel e;
-    const auto net = makeNetwork(cfg, e);
-    std::vector<Cycle> arrivals;
-    Cycle t = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            net->referenceBroadcast(27, 1, t, arrivals));
-        t += 10;
-    }
-}
-BENCHMARK_CAPTURE(BM_NetReferenceBroadcast, mesh, "mesh")->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_NetReferenceBroadcast, torus, "torus")->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_NetReferenceBroadcast, ring, "ring")->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_NetReferenceBroadcast, xbar, "xbar")->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_NetHopCount, mesh, "mesh");
 
 void
 BM_ProfilerScopeDisabled(benchmark::State &state)

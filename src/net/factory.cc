@@ -1,9 +1,5 @@
 #include "net/factory.hh"
 
-#include "net/crossbar.hh"
-#include "net/mesh.hh"
-#include "net/ring.hh"
-#include "net/torus.hh"
 #include "sim/named_registry.hh"
 
 namespace lacc {
@@ -11,39 +7,22 @@ namespace lacc {
 namespace {
 
 /**
- * The single registration point: adding a topology means adding one
- * entry here (plus its NetworkKind). Lookup and diagnostics come from
- * the shared named-registry helpers.
+ * The single registration point. Every fabric is the one concrete
+ * NetworkModel; the kind selects its cube geometry (or the crossbar),
+ * so adding a topology means adding one entry here, its NetworkKind
+ * and its case in the NetworkModel constructor.
  */
 struct NetworkEntry
 {
     const char *name;
     NetworkKind kind;
-    std::unique_ptr<NetworkModel> (*make)(const SystemConfig &,
-                                          EnergyModel &);
 };
 
 const NetworkEntry kNetworks[] = {
-    {"mesh", NetworkKind::Mesh,
-     [](const SystemConfig &cfg,
-        EnergyModel &energy) -> std::unique_ptr<NetworkModel> {
-         return std::make_unique<MeshNetwork>(cfg, energy);
-     }},
-    {"torus", NetworkKind::Torus,
-     [](const SystemConfig &cfg,
-        EnergyModel &energy) -> std::unique_ptr<NetworkModel> {
-         return std::make_unique<TorusNetwork>(cfg, energy);
-     }},
-    {"ring", NetworkKind::Ring,
-     [](const SystemConfig &cfg,
-        EnergyModel &energy) -> std::unique_ptr<NetworkModel> {
-         return std::make_unique<RingNetwork>(cfg, energy);
-     }},
-    {"xbar", NetworkKind::Crossbar,
-     [](const SystemConfig &cfg,
-        EnergyModel &energy) -> std::unique_ptr<NetworkModel> {
-         return std::make_unique<CrossbarNetwork>(cfg, energy);
-     }},
+    {"mesh", NetworkKind::Mesh},
+    {"torus", NetworkKind::Torus},
+    {"ring", NetworkKind::Ring},
+    {"xbar", NetworkKind::Crossbar},
 };
 
 } // namespace
@@ -51,8 +30,7 @@ const NetworkEntry kNetworks[] = {
 std::unique_ptr<NetworkModel>
 makeNetwork(const SystemConfig &cfg, EnergyModel &energy)
 {
-    return registry::entryForKind(kNetworks, cfg.networkKind, "network")
-        .make(cfg, energy);
+    return std::make_unique<NetworkModel>(cfg, energy);
 }
 
 const std::vector<std::string> &

@@ -1,19 +1,33 @@
 /**
  * @file
- * The pluggable on-chip interconnect layer.
+ * The on-chip interconnect: one concrete NetworkModel for every
+ * fabric.
  *
  * The paper evaluates LACC on one fabric — an electrical 2-D mesh
  * with native broadcast support (§3.1, Table 1) — but the protocol's
  * headline mechanism (ACKwise_p falling back to broadcast on pointer
  * overflow) is exactly the part whose cost depends on what the
- * network makes cheap. NetworkModel abstracts the fabric: unicast and
- * broadcast timing, hop/distance accounting, per-message energy
- * charging, and contention bookkeeping all live behind this
- * interface, and concrete topologies (net/mesh.hh, net/torus.hh,
- * net/ring.hh, net/crossbar.hh) are built by a config-keyed factory
- * (net/factory.hh).
+ * network makes cheap, so the model also runs a torus, a ring and a
+ * crossbar (config-keyed by name, net/factory.hh).
  *
- * Shared timing model (all link-based topologies):
+ * Routing (docs/ARCHITECTURE.md "Routing"): mesh, torus and ring are
+ * one topology, a dimension-ordered k-ary n-cube. Each dimension has
+ * a size and a wrap flag — the mesh is W x H without wrap, the torus
+ * W x H with wrap, the ring one dimension of N with wrap. A unicast
+ * routes dimension by dimension, the shorter way around a wrapped
+ * dimension (ties go forward). A broadcast is a single injection that
+ * routers replicate along a line tree: forward, then backward along
+ * dimension 0 from the source, then forward and backward along
+ * dimension 1 from every dimension-0 node in ascending order. The
+ * directed link leaving node n along dimension d is
+ * n*2*dims + 2*d + back. The crossbar is the one other case: one hop
+ * on output port dst, and no replication — a broadcast is emulated as
+ * serialized unicasts, the i-th departing i*flits cycles late.
+ * routeHops()/treeHops() generate these walks arithmetically (compare
+ * and wrap, no per-hop division), and unicast()/broadcast() consume
+ * them directly, so memory is O(links), not O(N²).
+ *
+ * Shared timing model:
  *  - hop latency hopLatency cycles: 1 router + 1 link pipeline stage
  *    per hop;
  *  - wormhole serialization: a message of F flits arrives F-1 cycles
@@ -29,29 +43,13 @@
  *    clocks: a message from a slightly lagging core sees the same
  *    backlog instead of paying the whole clock skew as phantom
  *    queueing.
- *
- * The hot path is table-driven (docs/ARCHITECTURE.md "Route tables &
- * broadcast schedules"): at construction every topology enumerates
- * its routes once into a flat RouteTable — for each (src, dst) pair a
- * contiguous span of directed link ids plus the hop count — and one
- * BroadcastTree schedule per source: a topologically-ordered list of
- * (link, parent, child) hops whose head-flit times chain through a
- * reusable scratch array. unicast()/broadcast()/hopCount() are
- * therefore non-virtual base-class loops with no per-hop coordinate
- * math, no per-call allocation, and per-message (not per-hop)
- * stats/energy accumulation; with modelContention off, arrival times
- * come straight from the precomputed hop counts. The original
- * hop-by-hop walkers survive as the virtual reference*() debug path,
- * and tests/test_net.cc pins the two paths to identical timing and
- * link-flit accounting on every topology.
  */
 
 #ifndef LACC_NET_NETWORK_HH
 #define LACC_NET_NETWORK_HH
 
+#include <array>
 #include <cstdint>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "energy/model.hh"
@@ -64,65 +62,65 @@ namespace lacc {
 class FaultInjector;
 
 /**
- * Abstract interconnect shared by all tiles of a Multicore. Concrete
- * topologies enumerate their routing (buildRoute) and broadcast trees
- * (buildBroadcastSchedule) once at construction; the base class owns
- * the precomputed tables, the directed-link contention state, traffic
- * statistics, energy charging, and the congestion diagnostics, so
- * every topology accounts traffic the same way and pays the same
- * (table-driven) per-message cost.
+ * Interconnect shared by all tiles of a Multicore: the routing
+ * generator, the directed-link contention state, traffic statistics
+ * and energy charging (see the file header).
  */
 class NetworkModel
 {
   public:
     /**
-     * One hop of a broadcast-tree schedule: the head flit leaves
-     * @p parent (plus delayFactor * flits injection-serialization
-     * cycles, used by emulated broadcasts) and crosses directed link
-     * @p link to @p child. Schedules are topologically ordered: a
-     * hop's parent head time is always computed by an earlier entry
-     * (or is the source's departure time).
+     * One hop of a route or broadcast tree: the head flit leaves
+     * @p from (plus delay * flits injection-serialization cycles,
+     * nonzero only for the crossbar's emulated broadcast) and crosses
+     * directed link @p link to @p to.
      */
-    struct TreeHop
+    struct Hop
     {
-        std::uint32_t link = 0;
-        CoreId parent = 0;
-        CoreId child = 0;
-        /** Injection serialization: head departs parent_head +
-         *  delayFactor * flits (0 for native broadcast trees). */
-        std::uint32_t delayFactor = 0;
+        std::uint32_t link;
+        CoreId from;
+        CoreId to;
+        std::uint32_t delay;
     };
 
     /**
-     * @param cfg       system configuration (geometry, flit widths,
-     *                  hop latency, contention flag)
-     * @param energy    whole-system energy accumulator
-     * @param num_links directed links (contention/diagnostic slots)
-     *                  this topology models
+     * @param cfg    system configuration (fabric kind, geometry, hop
+     *               latency, contention flag)
+     * @param energy whole-system energy accumulator
      */
-    NetworkModel(const SystemConfig &cfg, EnergyModel &energy,
-                 std::uint32_t num_links);
-    virtual ~NetworkModel() = default;
+    NetworkModel(const SystemConfig &cfg, EnergyModel &energy);
 
-    /** Factory key of this topology, e.g. "mesh" or "xbar". */
-    virtual const char *name() const = 0;
+    /** Factory key of this fabric, e.g. "mesh" or "xbar". */
+    const char *name() const { return name_; }
+
+    /** Directed links (contention slots) of this fabric. */
+    std::uint32_t numLinks() const
+    {
+        return static_cast<std::uint32_t>(links_.size());
+    }
 
     /**
      * Routing distance between two tiles in links traversed
      * (0 for src == dst). Drives Message::hops and idealLatency().
-     * Table lookup — no virtual dispatch, no coordinate math.
      */
-    std::uint32_t hopCount(CoreId src, CoreId dst) const
+    std::uint32_t
+    hopCount(CoreId src, CoreId dst) const
     {
-        return routes_[routeIndex(src, dst)].hops;
+        if (crossbar_)
+            return src == dst ? 0 : 1;
+        // Unused dimensions have size 1 and coordinate 0.
+        std::uint32_t hops = 0;
+        for (std::uint32_t d = 0; d < kMaxDims; ++d) {
+            bool back;
+            hops += legLength(d, coords_[src][d], coords_[dst][d], back);
+        }
+        return hops;
     }
 
     /**
      * Send a unicast message and return its arrival time (time the
      * last flit is ejected at @p dst). Accounts link contention and
-     * router/link energy. Table-driven: walks the precomputed link
-     * span; with modelContention off the arrival is computed
-     * analytically from the hop count.
+     * router/link energy.
      *
      * @param src    source tile
      * @param dst    destination tile
@@ -134,51 +132,16 @@ class NetworkModel
 
     /**
      * Broadcast from @p src to all tiles. Arrival times (last flit)
-     * per tile are written to @p arrivals (indexed by CoreId; the
-     * source receives its copy at depart, or with the tail flit when
-     * selfArrivalAtTail()). Topologies with native
-     * broadcast (hasNativeBroadcast()) deliver with a single
-     * injection along a spanning tree; others emulate it (e.g. the
-     * crossbar serializes one unicast per destination). Table-driven:
-     * one pass over the per-source BroadcastTree schedule.
+     * per tile are written to @p arrivals (indexed by CoreId). The
+     * source receives its own copy at depart, or with the tail flit
+     * when the tree has two dimensions (the dimension-1 lines re-
+     * deliver through the source router after the payload
+     * serializes).
      *
      * @return the maximum arrival time over all tiles.
      */
     Cycle broadcast(CoreId src, std::uint32_t flits, Cycle depart,
                     std::vector<Cycle> &arrivals);
-
-    /**
-     * Whether one injection reaches every tile (router replication,
-     * §3.1). When false, every broadcast pays one serialized unicast
-     * per destination — ACKwise overflow actually hurts.
-     */
-    virtual bool hasNativeBroadcast() const = 0;
-
-    /**
-     * Whether the source's own broadcast copy arrives with the tail
-     * flit (depart + flits - 1) instead of at depart. The X-then-Y
-     * trees (mesh/torus) re-deliver through the source router after
-     * serializing the payload; the ring arcs and crossbar ports hand
-     * the source its copy at injection time.
-     */
-    virtual bool selfArrivalAtTail() const { return false; }
-
-    /**
-     * Debug reference path: the original hop-by-hop unicast walker
-     * (per-hop coordinate math / virtual dispatch). Mutates the same
-     * contention/stats state as unicast(); tests drive a second,
-     * identically-configured instance through this path and assert
-     * bit-identical timing and accounting against the table-driven
-     * one. Not used on the simulation hot path.
-     */
-    virtual Cycle referenceUnicast(CoreId src, CoreId dst,
-                                   std::uint32_t flits,
-                                   Cycle depart) = 0;
-
-    /** Debug reference path for broadcast(); see referenceUnicast. */
-    virtual Cycle referenceBroadcast(CoreId src, std::uint32_t flits,
-                                     Cycle depart,
-                                     std::vector<Cycle> &arrivals) = 0;
 
     /**
      * Contention-free latency of a unicast (test/analysis helper):
@@ -190,38 +153,30 @@ class NetworkModel
                (flits > 0 ? flits - 1 : 0);
     }
 
+    /**
+     * Visit the hops of the src -> dst route in traversal order:
+     * dimension 0 first, then dimension 1 (no hops when src == dst).
+     */
+    template <typename Visit>
+    void routeHops(CoreId src, CoreId dst, Visit &&visit) const;
+
+    /**
+     * Visit the hops of the broadcast tree rooted at @p src in
+     * traversal order. Every non-source tile is reached exactly once,
+     * and every hop's parent is the source or an earlier hop's child
+     * (contention updates are order-sensitive).
+     */
+    template <typename Visit>
+    void treeHops(CoreId src, Visit &&visit) const;
+
     /** Traffic counters for this network. */
     const NetworkStats &stats() const { return stats_; }
 
-    /** Reset traffic counters and link state (tables persist). */
+    /** Reset traffic counters and link state. */
     void reset();
 
     /** Reset traffic counters only (links stay occupied). */
     void resetStats() { stats_ = NetworkStats{}; }
-
-    /**
-     * Diagnostic: (link id, queueing cycles) of the worst links,
-     * ordered by (queueing desc, link id asc) — a deterministic total
-     * order, so equal-queueing links never reorder across runs.
-     */
-    std::vector<std::pair<std::uint32_t, std::uint64_t>>
-    topCongestedLinks(std::size_t n) const;
-
-    /** Diagnostic: describe a directed link id as text. */
-    virtual std::string describeLink(std::uint32_t link) const;
-
-    /** Diagnostic: flits carried by a directed link. */
-    std::uint64_t linkFlits(std::uint32_t link) const
-    {
-        return linkFlits_[link];
-    }
-
-    /**
-     * Bytes held by the precomputed route table and broadcast
-     * schedules (docs/ARCHITECTURE.md discusses the footprint scaling
-     * per topology; tests sanity-check it).
-     */
-    std::size_t tableFootprintBytes() const;
 
     /**
      * Attach (or detach, with nullptr) the lossy-link fault process
@@ -249,14 +204,73 @@ class NetworkModel
         return true;
     }
 
-  protected:
+  private:
+    /** Dimensions of the largest cube (the 2-D mesh and torus). */
+    static constexpr std::uint32_t kMaxDims = 2;
+
+    /** One cube dimension: its size, node-index stride and wrap. */
+    struct Dim
+    {
+        std::uint32_t size = 1;
+        std::uint32_t stride = 1;
+        bool wrap = false;
+    };
+
+    /**
+     * Length and direction of the src -> dst leg along dimension
+     * @p d: dimension order takes the shorter way around a wrapped
+     * dimension, ties going forward.
+     */
+    std::uint32_t
+    legLength(std::uint32_t d, std::uint32_t from, std::uint32_t to,
+              bool &back) const
+    {
+        const Dim &dim = dims_[d];
+        const bool down = to < from;
+        const std::uint32_t diff = down ? from - to : to - from;
+        // The other way around a wrapped dimension is size - diff
+        // hops; on a tie the forward way wins.
+        const bool around =
+            dim.wrap && (down ? 2 * diff >= dim.size : 2 * diff > dim.size);
+        back = down != around;
+        return around ? dim.size - diff : diff;
+    }
+
+    /**
+     * Visit @p steps hops along dimension @p d from @p at (whose
+     * coordinate in d is @p c), forward or @p back. A line is a
+     * straight run that wraps at most once, at the dimension's edge,
+     * so stepping is an add and a compare per hop. @return the node
+     * reached.
+     */
+    template <typename Visit>
+    CoreId
+    line(CoreId at, std::uint32_t c, std::uint32_t d, bool back,
+         std::uint32_t steps, Visit &visit) const
+    {
+        const Dim &dim = dims_[d];
+        const std::uint32_t step = back ? 0u - dim.stride : dim.stride;
+        const std::uint32_t wrap_step = step - dim.size * step;
+        const std::uint32_t port = 2 * d + (back ? 1 : 0);
+        // Hop index that crosses the edge (never reached without wrap).
+        const std::uint32_t edge = back ? c : dim.size - 1 - c;
+        std::uint32_t node = at;
+        for (std::uint32_t i = 0; i < steps; ++i) {
+            const std::uint32_t to = node + (i == edge ? wrap_step : step);
+            visit(Hop{node * linksPerNode_ + port, static_cast<CoreId>(node),
+                      static_cast<CoreId>(to), 0});
+            node = to;
+        }
+        return static_cast<CoreId>(node);
+    }
+
     /**
      * Route one message across a single directed link, applying the
      * windowed-backlog contention model (see the file header).
-     * Header-inline so the table-driven span loop compiles to a tight
+     * Header-inline so the route walk compiles to a tight
      * non-calling loop.
      *
-     * @param link  directed link id in [0, num_links)
+     * @param link  directed link id in [0, numLinks())
      * @param t     head-flit time at the link's input
      * @param flits message length
      * @return head-flit time at the link's output
@@ -293,96 +307,23 @@ class NetworkModel
             if (ls.backlog > elapsed) {
                 const Cycle wait = ls.backlog - elapsed;
                 stats_.contentionCycles += wait;
-                linkQueueing_[link] += wait;
                 head_at_link += wait;
             }
             ls.backlog += flits;
         }
-        linkFlits_[link] += flits;
         return head_at_link + (hopLatency_ - 1);
     }
-
-    /**
-     * Topology hook (construction time only): append the directed
-     * link ids of the src -> dst route, in traversal order. Never
-     * called with src == dst.
-     */
-    virtual void buildRoute(CoreId src, CoreId dst,
-                            std::vector<std::uint32_t> &out) const = 0;
-
-    /**
-     * Topology hook (construction time only): append the broadcast
-     * schedule rooted at @p src, in the exact traversal order of the
-     * reference walker (contention-state updates are order-sensitive,
-     * and the equivalence tests hold the two paths bit-identical).
-     * Every non-source tile must appear exactly once as a child, and
-     * every parent must be the source or an earlier child.
-     */
-    virtual void
-    buildBroadcastSchedule(CoreId src,
-                           std::vector<TreeHop> &out) const = 0;
-
-    /**
-     * Build the route table and broadcast schedules from the topology
-     * hooks, validate them, and derive the per-broadcast batched
-     * stat/energy factors. MUST be called at the end of every
-     * concrete topology's constructor (the hooks are virtual).
-     */
-    void finalizeTables();
 
     /**
      * Roll the seeded per-link Bernoulli fault process for one
      * traversal and latch the outcome for consumeTraversalFault().
      * The first fault of a multi-link route wins (the message dies at
      * the first bad link; later links still charge flits/energy — a
-     * deliberate upper bound that keeps the table-driven batched
-     * accounting intact).
+     * deliberate upper bound that keeps the per-message accounting
+     * batched).
      */
     void rollLinkFault(std::uint32_t link, Cycle t,
                        std::uint32_t flits);
-
-    std::uint32_t numCores_;
-    std::uint32_t hopLatency_;
-    bool modelContention_;
-
-    EnergyModel &energy_;
-    NetworkStats stats_;
-
-    // Fault-injection hook state (serialized contexts only: every
-    // traversal happens on the engine's drain thread).
-    FaultInjector *fault_ = nullptr;
-    bool faultPending_ = false;
-    bool faultDrop_ = false;
-
-  private:
-    /** One (src, dst) route: a span of linkSeq_ plus its length. */
-    struct Route
-    {
-        std::uint32_t offset = 0;
-        std::uint32_t hops = 0;
-    };
-
-    /**
-     * Batched per-broadcast accounting, derived from the schedule
-     * size and hasNativeBroadcast(): one native injection occupies
-     * schedule-size tree links and every router once; an emulated
-     * broadcast is schedule-size serialized unicasts.
-     */
-    struct BroadcastMeta
-    {
-        std::uint64_t flitHopFactor = 0;     //!< x flits -> flitHops
-        std::uint64_t linkEnergyFactor = 0;  //!< x flits -> link energy
-        std::uint64_t routerEnergyFactor = 0;//!< x flits -> router energy
-        std::uint64_t injectedFactor = 0;    //!< x flits -> flitsInjected
-        std::uint64_t extraUnicasts = 0;     //!< unicast count (emulated)
-        bool srcHearsTail = false;           //!< selfArrivalAtTail()
-    };
-
-    std::size_t
-    routeIndex(CoreId src, CoreId dst) const
-    {
-        return static_cast<std::size_t>(src) * numCores_ + dst;
-    }
 
     /** Windowed backlog state of one directed link. */
     struct LinkState
@@ -394,18 +335,80 @@ class NetworkModel
     /** Window length in cycles (power of two; also the drain rate). */
     static constexpr Cycle kWindow = 64;
 
-    std::vector<LinkState> links_;
-    std::vector<std::uint64_t> linkQueueing_; //!< per-link diagnostics
-    std::vector<std::uint64_t> linkFlits_;    //!< per-link load
+    const char *name_;
+    std::uint32_t numCores_;
+    std::uint32_t hopLatency_;
+    bool modelContention_;
+    /** Crossbar: one hop on output port dst, emulated broadcast. */
+    bool crossbar_;
+    std::uint32_t numDims_ = 0;
+    std::uint32_t linksPerNode_ = 1;
+    std::array<Dim, kMaxDims> dims_{};
+    /** Per-core cube coordinates (hopCount and the route walk). */
+    std::vector<std::array<std::uint16_t, kMaxDims>> coords_;
 
-    // ---- Precomputed tables (finalizeTables) --------------------------
-    std::vector<Route> routes_;            //!< numCores^2, src-major
-    std::vector<std::uint32_t> linkSeq_;   //!< concatenated route spans
-    std::vector<std::uint32_t> treeOffsets_; //!< per-source, size N+1
-    std::vector<TreeHop> treeHops_;        //!< concatenated schedules
-    BroadcastMeta bmeta_;
-    std::vector<Cycle> headScratch_;       //!< per-node head-flit times
+    EnergyModel &energy_;
+    NetworkStats stats_;
+    std::vector<LinkState> links_;
+    std::vector<Cycle> headScratch_; //!< per-node head-flit times
+
+    // Fault-injection hook state (serialized contexts only: every
+    // traversal happens on the engine's drain thread).
+    FaultInjector *fault_ = nullptr;
+    bool faultPending_ = false;
+    bool faultDrop_ = false;
 };
+
+template <typename Visit>
+void
+NetworkModel::routeHops(CoreId src, CoreId dst, Visit &&visit) const
+{
+    if (src == dst)
+        return;
+    if (crossbar_) {
+        visit(Hop{dst, src, dst, 0});
+        return;
+    }
+    CoreId at = src;
+    for (std::uint32_t d = 0; d < numDims_; ++d) {
+        const std::uint32_t c = coords_[src][d];
+        bool back;
+        const std::uint32_t steps =
+            legLength(d, c, coords_[dst][d], back);
+        at = line(at, c, d, back, steps, visit);
+    }
+}
+
+template <typename Visit>
+void
+NetworkModel::treeHops(CoreId src, Visit &&visit) const
+{
+    if (crossbar_) {
+        // Serialized unicast per destination in CoreId order: every
+        // hop hangs off the source, the i-th delayed by i*flits.
+        std::uint32_t i = 0;
+        for (std::uint32_t dst = 0; dst < numCores_; ++dst)
+            if (dst != src)
+                visit(Hop{dst, src, static_cast<CoreId>(dst), i++});
+        return;
+    }
+    // Line roots: the source along dimension 0, then every
+    // dimension-0 node of the source's line, ascending, along
+    // dimension 1. A line expands forward, then backward: to the edge
+    // of a non-wrapping dimension, or around a wrapped one (forward
+    // covers size/2 nodes, backward the rest).
+    const std::uint32_t roots = numDims_ == 2 ? 1 + dims_[0].size : 1;
+    const CoreId row = static_cast<CoreId>(src - coords_[src][0]);
+    for (std::uint32_t r = 0; r < roots; ++r) {
+        const CoreId root = r == 0 ? src : static_cast<CoreId>(row + r - 1);
+        const std::uint32_t d = r == 0 ? 0 : 1;
+        const Dim &dim = dims_[d];
+        const std::uint32_t c = coords_[root][d];
+        const std::uint32_t fwd = dim.wrap ? dim.size / 2 : dim.size - 1 - c;
+        line(root, c, d, false, fwd, visit);
+        line(root, c, d, true, dim.size - 1 - fwd, visit);
+    }
+}
 
 } // namespace lacc
 

@@ -130,6 +130,10 @@ TraceWorkload::parse(std::istream &in, std::string name)
                 fatal("trace header asks for %u cores at line %zu (at"
                       " most %u: CoreId is 16-bit)", num_cores, line_no,
                       static_cast<unsigned>(kInvalidCore));
+            if (num_locks > kMaxLocks)
+                fatal("trace header asks for %u locks at line %zu (at"
+                      " most %u)", num_locks, line_no,
+                      static_cast<unsigned>(kMaxLocks));
             rejectTrailing(ls, line_no);
             streams.assign(num_cores, {});
             continue;

@@ -15,6 +15,11 @@
  *     <core> b                 barrier
  *     <core> a <lockId>        lock acquire
  *     <core> l <lockId>        lock release
+ *
+ * The header bounds what a run allocates: numCores is at most 65,535
+ * (kInvalidCore; CoreId is 16-bit) and numLocks at most 65,536
+ * (kMaxLocks; the simulator keeps one lock record per id). A header
+ * beyond either fails on its line.
  */
 
 #ifndef LACC_WORKLOAD_TRACE_FILE_HH
@@ -32,6 +37,9 @@ namespace lacc {
 class TraceWorkload final : public Workload
 {
   public:
+    /** Most locks a trace header may declare (see the file header). */
+    static constexpr std::uint32_t kMaxLocks = 65536;
+
     /** Build from already-parsed per-core streams. */
     TraceWorkload(std::string name,
                   std::vector<std::vector<MemOp>> streams,

@@ -150,6 +150,26 @@ TEST(Failures, TraceCoreCountBeyondCoreIdIsFatal)
                 testing::ExitedWithCode(1), "65536 cores at line 2");
 }
 
+TEST(Failures, TraceLockCountBeyondCapIsFatal)
+{
+    // The run keeps one lock record per declared id: a header asking
+    // for billions must fail on its line in the parser, not allocate
+    // them in Multicore::run.
+    {
+        std::istringstream is("trace 4 4000000000\n");
+        EXPECT_EXIT(TraceWorkload::parse(is, "x"),
+                    testing::ExitedWithCode(1),
+                    "4000000000 locks at line 1");
+    }
+    {
+        std::istringstream is("# header\ntrace 4 65537\n");
+        EXPECT_EXIT(TraceWorkload::parse(is, "x"),
+                    testing::ExitedWithCode(1), "65537 locks at line 2");
+    }
+    std::istringstream is("trace 4 65536\n");
+    EXPECT_EQ(TraceWorkload::parse(is, "x").numLocks(), 65536u);
+}
+
 TEST(Failures, PartiallyNumericTraceTokensAreFatal)
 {
     {

@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "net/mesh.hh"
+#include "net/network.hh"
 #include "protocol/factory.hh"
 #include "system/multicore.hh"
 #include "system/report.hh"
@@ -729,7 +729,7 @@ TEST(Messages, FlitsFollowPayloadClass)
 {
     const SystemConfig cfg = smallCfg();
     EnergyModel e;
-    MeshNetwork mesh(cfg, e);
+    NetworkModel mesh(cfg, e); // the default fabric: the mesh
     MessageTransport net(cfg, mesh);
 
     Message m{MsgKind::ShReq, 0, 1, MsgPayload::None};
