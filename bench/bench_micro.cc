@@ -14,7 +14,6 @@
 #include "cache/set_assoc.hh"
 #include "core/classifier.hh"
 #include "dram/dram.hh"
-#include "core/limited_classifier.hh"
 #include "protocol/core_vec.hh"
 #include "protocol/sharer_list.hh"
 #include "energy/model.hh"
@@ -296,11 +295,45 @@ BM_HolderVecChurn(benchmark::State &state)
 }
 BENCHMARK(BM_HolderVecChurn)->Arg(4)->Arg(8)->Arg(16);
 
-void
-BM_LimitedClassifierRemoteAccess(benchmark::State &state)
+/**
+ * 64-core classifier with k = state.range(0) records per line: k = 3
+ * searches the line's records (the paper default, Limited_3); k = 64
+ * gives every core its own record, which is Complete's layout.
+ */
+LocalityClassifier
+classifierK(const benchmark::State &state)
 {
     auto cfg = microCfg();
-    LimitedClassifier cls(cfg, false);
+    cfg.classifierKind = ClassifierKind::Limited;
+    cfg.classifierK = static_cast<std::uint32_t>(state.range(0));
+    return LocalityClassifier(cfg);
+}
+
+void
+BM_ClassifierClassify(benchmark::State &state)
+{
+    LocalityClassifier cls = classifierK(state);
+    std::vector<CoreLocality> recs(cls.recordsPerLine());
+    const LineRecords st(recs.data(), cls.recordsPerLine());
+    // Cores 0-7 ask in turn, each an active private sharer once it
+    // holds a record: at k = 3, cores 3-7 find none free or inactive
+    // and take the majority vote.
+    for (CoreId c = 0; c < 8; ++c) {
+        cls.classify(st, c);
+        cls.onPrivateGrant(st, c, 10);
+    }
+    CoreId c = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cls.classify(st, c));
+        c = (c + 1) & 7;
+    }
+}
+BENCHMARK(BM_ClassifierClassify)->Arg(3)->Arg(64);
+
+void
+BM_ClassifierRemoteAccess(benchmark::State &state)
+{
+    LocalityClassifier cls = classifierK(state);
     std::vector<CoreLocality> recs(cls.recordsPerLine());
     const LineRecords st(recs.data(), cls.recordsPerLine());
     cls.classify(st, 0);
@@ -312,7 +345,7 @@ BM_LimitedClassifierRemoteAccess(benchmark::State &state)
         cls.onWriteByOther(st, 5);
     }
 }
-BENCHMARK(BM_LimitedClassifierRemoteAccess);
+BENCHMARK(BM_ClassifierRemoteAccess)->Arg(3)->Arg(64);
 
 /** 4-core system with Table 1 caches, for the L2 fill micros. */
 SystemConfig

@@ -1,20 +1,28 @@
 /**
  * @file
- * Locality classifier interface (Sections 3.2-3.4).
+ * The locality classifier (Sections 3.2-3.4).
  *
  * The directory keeps, per cache line, a fixed number of locality
  * records (LocalityClassifier::recordsPerLine()) from which the
  * classifier decides for each core whether it is a *private* sharer
  * (handed full line copies) or a *remote* sharer (serviced by word
- * accesses at the shared L2 home). Three implementations are
- * provided:
+ * accesses at the shared L2 home). Every variant the paper evaluates
+ * is one class configured by two things, both read from
+ * SystemConfig:
  *
- *  - CompleteClassifier: mode / remote-utilization / RAT-level for
- *    every core (Fig 6 with RAT levels replacing timestamps, §3.3);
- *  - LimitedClassifier: the Limited_k classifier of §3.4 — k tracked
- *    cores, majority-vote seeding, inactive-sharer replacement;
- *  - TimestampClassifier: the idealized 64-bit last-access timestamp
- *    scheme of §3.2, used as the reference in Fig 12.
+ *  - the record count per line: numCores for Complete (Fig 6) and
+ *    Timestamp, min(k, numCores) for Limited_k (§3.4, Fig 7), 0 for
+ *    the always-private baseline. With one record per core, record c
+ *    is core c's; with fewer, a core is looked up by the core ID its
+ *    record names, takes a free record or replaces an inactive one,
+ *    and an untracked core gets the majority vote of the tracked
+ *    ones. The baseline's empty vote is Private, so it never leaves
+ *    the private mode.
+ *  - the promotion rule of a remote access: the RAT rule of §3.3
+ *    (PCT with an invalid way in the requester's L1 set, otherwise
+ *    the record's RAT level) for every kind but Timestamp, which
+ *    accrues utilization only while the idealized last-access check
+ *    of §3.2 passes and promotes at PCT (Fig 12 reference).
  *
  * The protocol variant Adapt1-way (§3.7) is expressed through the
  * `oneWay` flag: remote sharers are never promoted back to private.
@@ -24,7 +32,7 @@
 #define LACC_CORE_CLASSIFIER_HH
 
 #include <cstdint>
-#include <memory>
+#include <vector>
 
 #include "sim/config.hh"
 #include "sim/span.hh"
@@ -40,12 +48,12 @@ namespace lacc {
  */
 struct CoreLocality
 {
-    Cycle lastAccess = 0;         //!< Timestamp classifier only
+    Cycle lastAccess = 0;         //!< read by the Timestamp rule only
     std::uint32_t remoteUtil = 0; //!< remote utilization counter
     /**
-     * The core the record describes: Limited_k's tracked core
-     * (kInvalidCore marks a free record); the Complete classifier's
-     * "touched" mark (kInvalidCore until the core first classifies).
+     * The core the record describes, kInvalidCore until a core first
+     * classifies through it: with fewer records than cores a free
+     * record, with one per core an untouched one.
      */
     CoreId core = kInvalidCore;
     Mode mode = Mode::Private;    //!< P/R bit
@@ -82,7 +90,7 @@ struct RemoteAccessContext
     bool hasInvalidWay = false;
     /**
      * Minimum last-access time over the valid lines of the requester's
-     * L1 set (communicated on every miss; Timestamp classifier only).
+     * L1 set (communicated on every miss; Timestamp rule only).
      */
     Cycle l1MinLastAccess = 0;
 };
@@ -100,99 +108,107 @@ class LocalityClassifier
 {
   public:
     /**
-     * @param cfg      system configuration (PCT, RATmax, nRATlevels, k)
-     * @param one_way  Adapt1-way (§3.7): never promote remote sharers
+     * @param cfg system configuration: classifierKind, k, PCT, RATmax,
+     *            nRATlevels, the learning short-cut, and Adapt1-way
+     *            (protocolKind)
      */
-    LocalityClassifier(const SystemConfig &cfg, bool one_way)
-        : numCores_(cfg.numCores), pct_(cfg.pct),
-          nRatLevels_(cfg.nRatLevels), oneWay_(one_way), cfg_(cfg)
-    {}
-
-    virtual ~LocalityClassifier() = default;
+    explicit LocalityClassifier(const SystemConfig &cfg);
 
     /**
-     * Records per line this classifier keeps: k for Limited_k,
-     * numCores for Complete and Timestamp, 0 for AlwaysPrivate. Every
-     * LineRecords passed in below has exactly this size.
+     * Records per line: min(k, numCores) for Limited_k, numCores for
+     * Complete and Timestamp, 0 for AlwaysPrivate. Every LineRecords
+     * passed in below has exactly this size.
      */
-    virtual std::uint32_t recordsPerLine() const = 0;
+    std::uint32_t recordsPerLine() const { return records_; }
 
     /**
-     * Current mode of @p core for this line, applying any tracking
-     * side effects (entry allocation / majority vote in Limited_k).
+     * Current mode of @p core for this line, tracking the core if it
+     * can (see track()) and otherwise returning the majority vote.
      * Called once per directory transaction before choosing the
      * private or remote service path.
      */
-    virtual Mode classify(LineRecords recs, CoreId core) = 0;
+    Mode classify(LineRecords recs, CoreId core);
 
     /**
      * Account one remote (word) access by @p core and decide
      * promotion. On promotion the state is updated to Private mode;
      * the remote utilization is retained so the classification at the
      * next eviction/invalidation covers the whole utilization epoch
-     * (§3.2, Evictions and Invalidations).
+     * (§3.2, Evictions and Invalidations). An untracked core accrues
+     * nothing and cannot earn a promotion (§3.4).
      *
      * @return true if the core is promoted to a private sharer.
      */
-    virtual bool onRemoteAccess(LineRecords recs, CoreId core,
-                                const RemoteAccessContext &ctx) = 0;
+    bool onRemoteAccess(LineRecords recs, CoreId core,
+                        const RemoteAccessContext &ctx);
 
     /**
      * A write by @p writer resets the remote utilization counters of
      * all remote sharers other than the writer and makes them
      * inactive (§3.2 Write Requests, §3.4).
      */
-    virtual void onWriteByOther(LineRecords recs, CoreId writer) = 0;
+    void onWriteByOther(LineRecords recs, CoreId writer);
 
     /**
      * Classification when @p core's private copy leaves its L1
      * (§3.2): stays private iff privateUtil + remoteUtil >= PCT.
      * Updates RAT level per §3.3 (eviction-demotion raises it,
      * invalidation-demotion leaves it, private classification resets
-     * it) and consumes the utilization epoch (remoteUtil := 0).
+     * it), consumes the utilization epoch (remoteUtil := 0) and makes
+     * the record inactive. A core that lost its record while holding
+     * the line gets the majority vote.
      *
      * @return the resulting mode for future requests.
      */
-    virtual Mode onPrivateRemoval(LineRecords recs, CoreId core,
-                                  std::uint32_t private_util,
-                                  RemovalKind kind) = 0;
+    Mode onPrivateRemoval(LineRecords recs, CoreId core,
+                          std::uint32_t private_util, RemovalKind kind);
 
     /**
      * Bookkeeping when a private copy is granted (initial grant or
-     * promotion): marks the core an active private sharer and, where
-     * the classifier keeps one, stamps the access time.
+     * promotion): marks a tracked core an active private sharer and
+     * stamps its access time.
      */
-    virtual void onPrivateGrant(LineRecords recs, CoreId core, Cycle now) = 0;
+    void onPrivateGrant(LineRecords recs, CoreId core, Cycle now);
 
-    /** Inspect a core's record (tests / reporting); may be null when
+    /** Inspect a core's record (tests / reporting); null when
      * untracked. */
-    virtual const CoreLocality *peek(LineRecords recs, CoreId core) const = 0;
+    const CoreLocality *peek(LineRecords recs, CoreId core) const;
 
     /** True under the Adapt1-way ablation: demotion only (§3.7). */
     bool oneWay() const { return oneWay_; }
-    /** The Private Caching Threshold this classifier applies. */
-    std::uint32_t pct() const { return pct_; }
+
+  private:
+    /** @p core's record, or nullptr when it has none. */
+    CoreLocality *find(LineRecords recs, CoreId core) const;
 
     /**
-     * Factory: build the classifier selected by the configuration.
+     * @p core's record, allocating one if it has none: a free record
+     * first, else the first inactive one, which the newcomer replaces
+     * seeded with the majority vote (taken before the replacement).
+     * A record's first core starts Private (§3.2), or in the majority
+     * mode under the learning short-cut. @return nullptr when every
+     * record is held by another active core.
      */
-    static std::unique_ptr<LocalityClassifier>
-    create(const SystemConfig &cfg);
+    CoreLocality *track(LineRecords recs, CoreId core);
 
-  protected:
-    /** Shared RAT/PCT decision used by Complete and Limited (§3.3). */
-    bool remoteAccessDecision(CoreLocality &e,
-                              const RemoteAccessContext &ctx) const;
+    /** Majority mode over the records naming a core; ties and the
+     * empty vote resolve to Private, every core's initial mode. */
+    static Mode majorityVote(LineRecords recs);
 
-    /** Shared removal classification used by Complete and Limited. */
+    /** Shared removal classification (§3.2, §3.3). */
     Mode removalDecision(CoreLocality &e, std::uint32_t private_util,
                          RemovalKind kind) const;
 
-    std::uint32_t numCores_;
-    std::uint32_t pct_;
-    std::uint32_t nRatLevels_;
+    std::uint32_t records_;
+    /** One record per core: record c is core c's. */
+    bool indexed_;
+    bool timestamp_;
     bool oneWay_;
-    SystemConfig cfg_;
+    bool learningShortcut_;
+    std::uint32_t pct_;
+    std::uint32_t ratMax_;
+    /** SystemConfig::ratForLevel for each of the nRATlevels levels. */
+    std::vector<std::uint32_t> rat_;
 };
 
 } // namespace lacc

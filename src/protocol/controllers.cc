@@ -303,10 +303,10 @@ entrySharersFor(const SystemConfig &cfg)
 } // namespace
 
 DirectoryController::DirectoryController(const ProtocolContext &ctx)
-    : ctx_(ctx), classifier_(LocalityClassifier::create(ctx.cfg))
+    : ctx_(ctx), classifier_(ctx.cfg)
 {
     const SharerList entry_sharers = entrySharersFor(ctx_.cfg);
-    const std::uint32_t records = classifier_->recordsPerLine();
+    const std::uint32_t records = classifier_.recordsPerLine();
     for (const auto &tp : ctx_.tiles) {
         tp->l2.setRecordsPerLine(records);
         tp->l2.forEach(
@@ -536,7 +536,7 @@ DirectoryController::request(CoreId c, Addr addr, bool is_write,
 
     const Mode mode = upgrade
                           ? Mode::Private
-                          : classifier_->classify(entry.records(), c);
+                          : classifier_.classify(entry.records(), c);
     const RemoteAccessContext rctx{t_ready, hint.hasInvalidWay,
                                    hint.minLastAccess};
 
@@ -547,13 +547,13 @@ DirectoryController::request(CoreId c, Addr addr, bool is_write,
         const std::uint64_t val = ctx_.mem.nextValue(c);
         // A write resets the remote utilization of all other remote
         // sharers (§3.2) and invalidates all private sharers.
-        classifier_->onWriteByOther(entry.records(), c);
+        classifier_.onWriteByOther(entry.records(), c);
         t_shar = invalidateHolders(home, entry, c, t_ready);
 
         bool promote = false;
         if (mode == Mode::Remote) {
             promote =
-                classifier_->onRemoteAccess(entry.records(), c, rctx);
+                classifier_.onRemoteAccess(entry.records(), c, rctx);
             if (promote)
                 ++ctx_.stats.protocol.promotions;
         }
@@ -582,7 +582,7 @@ DirectoryController::request(CoreId c, Addr addr, bool is_write,
             entry.meta().sharers.add(c);
             entry.meta().dstate = DirState::Exclusive;
             entry.meta().owner = c;
-            classifier_->onPrivateGrant(entry.records(), c, t_ready);
+            classifier_.onPrivateGrant(entry.records(), c, t_ready);
         } else {
             // Remote word write: stored at the L2 home (§3.2).
             entry.words()[word] = val;
@@ -608,7 +608,7 @@ DirectoryController::request(CoreId c, Addr addr, bool is_write,
         bool promote = false;
         if (mode == Mode::Remote) {
             promote =
-                classifier_->onRemoteAccess(entry.records(), c, rctx);
+                classifier_.onRemoteAccess(entry.records(), c, rctx);
             if (promote)
                 ++ctx_.stats.protocol.promotions;
         }
@@ -645,7 +645,7 @@ DirectoryController::request(CoreId c, Addr addr, bool is_write,
                 entry.meta().dstate = DirState::Shared;
                 entry.meta().owner = kInvalidCore;
             }
-            classifier_->onPrivateGrant(entry.records(), c, t_ready);
+            classifier_.onPrivateGrant(entry.records(), c, t_ready);
             ++ctx_.stats.protocol.privateReadGrants;
             ctx_.energy.addL2Line();
             ++ctx_.stats.l2.loads;
@@ -696,7 +696,7 @@ DirectoryController::dropAndAck(CoreId s, CoreId home, L2Cache::Entry entry,
     if (!l2_eviction) {
         // The locality state dies with an L2 eviction, so only a
         // protocol invalidation classifies the removal (§3.2).
-        const Mode m = classifier_->onPrivateRemoval(
+        const Mode m = classifier_.onPrivateRemoval(
             entry.records(), s, dr.util, RemovalKind::Invalidation);
         if (m == Mode::Remote)
             ++ctx_.stats.protocol.demotions;
@@ -825,7 +825,7 @@ DirectoryController::evictionNotice(CoreId home, CoreId c, LineAddr line,
         }
     }
 
-    const Mode m = classifier_->onPrivateRemoval(
+    const Mode m = classifier_.onPrivateRemoval(
         he.records(), c, util, RemovalKind::Eviction);
     if (m == Mode::Remote)
         ++ctx_.stats.protocol.demotions;

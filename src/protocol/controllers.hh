@@ -23,7 +23,6 @@
 #ifndef LACC_PROTOCOL_CONTROLLERS_HH
 #define LACC_PROTOCOL_CONTROLLERS_HH
 
-#include <memory>
 #include <vector>
 
 #include "core/classifier.hh"
@@ -158,7 +157,7 @@ class DirectoryController
     CoreId homeOf(LineAddr line, CoreId requester) const;
 
     /** The locality classifier this directory consults. */
-    LocalityClassifier &classifier() { return *classifier_; }
+    LocalityClassifier &classifier() { return classifier_; }
 
   private:
     /**
@@ -224,7 +223,7 @@ class DirectoryController
 
     ProtocolContext ctx_;
     L1Controller *l1_ = nullptr;
-    std::unique_ptr<LocalityClassifier> classifier_;
+    LocalityClassifier classifier_;
 
     /**
      * Reusable target-list scratch (invalidation fan-out / L2

@@ -143,8 +143,9 @@ struct SystemConfig
     /**
      * Extension the paper mentions but does not evaluate (§5.3): seed
      * a core's first classification from the majority mode of the
-     * cores that already touched the line, Limited_k-style, in the
-     * Complete classifier.
+     * cores that already touched the line, the way Limited_k seeds a
+     * replaced record. Proposed for the Complete classifier; the
+     * classifier applies it to any record's first core.
      */
     bool completeLearningShortcut = false;
     /**

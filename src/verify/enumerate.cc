@@ -137,12 +137,13 @@ encodeState(Multicore &m)
                     s += '-';
                     continue;
                 }
-                // `active` is deliberately excluded: the Complete
-                // classifier (which enumConfig pins, shortcut off)
-                // writes it but never reads it — only Limited_k
-                // consults it, for tracked-entry replacement — so
-                // like the timing fields it cannot influence any
-                // future decision here.
+                // `active` is deliberately excluded: with one record
+                // per core (Complete, which enumConfig pins, shortcut
+                // off) the classifier writes it but never reads it —
+                // only a line with fewer records than cores consults
+                // it, to pick a record to replace — so like the
+                // timing fields it cannot influence any future
+                // decision here.
                 appendNum(s,
                           static_cast<std::uint64_t>(loc->mode));
                 appendNum(s, std::min(loc->remoteUtil, cfg.ratMax));

@@ -1,9 +1,10 @@
 /**
  * @file
- * Unit tests for the locality classifiers: the private/remote state
- * machine of Fig 4, RAT-level dynamics (§3.3), the Limited_k
- * allocation/vote/replacement protocol (§3.4), the Timestamp check
- * (§3.2), and the one-way restriction (§3.7).
+ * Unit tests for the locality classifier, one suite per
+ * ClassifierKind: the private/remote state machine of Fig 4,
+ * RAT-level dynamics (§3.3), the Limited_k allocation/vote/
+ * replacement protocol (§3.4), the Timestamp check (§3.2), and the
+ * one-way restriction (§3.7).
  */
 
 #include <ostream>
@@ -13,18 +14,16 @@
 #include <gtest/gtest.h>
 
 #include "core/classifier.hh"
-#include "core/complete_classifier.hh"
-#include "core/limited_classifier.hh"
-#include "core/timestamp_classifier.hh"
 #include "protocol/dir_entry.hh"
 
 namespace lacc {
 namespace {
 
 SystemConfig
-cfg4()
+cfg4(ClassifierKind kind)
 {
     SystemConfig c;
+    c.classifierKind = kind;
     c.numCores = 8;
     c.meshWidth = 4;
     c.clusterSize = 4;
@@ -33,6 +32,14 @@ cfg4()
     c.ratMax = 16;
     c.nRatLevels = 2;
     c.classifierK = 3;
+    return c;
+}
+
+/** @p c under the Adapt1-way protocol (§3.7). */
+SystemConfig
+oneWay(SystemConfig c)
+{
+    c.protocolKind = ProtocolKind::AdaptOneWay;
     return c;
 }
 
@@ -75,7 +82,7 @@ ctxFullSet(Cycle now = 100, Cycle min_last = 50)
 
 TEST(Complete, AllCoresStartPrivate)
 {
-    CompleteClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Complete));
     TestLine st(cls);
     for (CoreId c = 0; c < 8; ++c)
         EXPECT_EQ(cls.classify(st, c), Mode::Private);
@@ -83,7 +90,7 @@ TEST(Complete, AllCoresStartPrivate)
 
 TEST(Complete, DemotionNeedsLowUtilization)
 {
-    CompleteClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Complete));
     TestLine st(cls);
     // privateUtil 4 >= PCT: stays private.
     EXPECT_EQ(cls.onPrivateRemoval(st, 0, 4, RemovalKind::Eviction),
@@ -97,7 +104,7 @@ TEST(Complete, DemotionNeedsLowUtilization)
 TEST(Complete, RemoteUtilCountsTowardRemovalClassification)
 {
     // §3.2: classification at removal uses private + remote util.
-    CompleteClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Complete));
     TestLine st(cls);
     // Demote core 0 first.
     cls.onPrivateRemoval(st, 0, 1, RemovalKind::Invalidation);
@@ -114,7 +121,7 @@ TEST(Complete, RemoteUtilCountsTowardRemovalClassification)
 
 TEST(Complete, EpochConsumedAfterRemoval)
 {
-    CompleteClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Complete));
     TestLine st(cls);
     cls.onPrivateRemoval(st, 0, 1, RemovalKind::Invalidation); // demote
     for (int i = 0; i < 4; ++i)
@@ -128,8 +135,8 @@ TEST(Complete, EpochConsumedAfterRemoval)
 
 TEST(Complete, EvictionDemotionRaisesRat)
 {
-    auto cfg = cfg4(); // RAT levels: 4, 16
-    CompleteClassifier cls(cfg, false);
+    auto cfg = cfg4(ClassifierKind::Complete); // RAT levels: 4, 16
+    LocalityClassifier cls(cfg);
     TestLine st(cls);
     cls.onPrivateRemoval(st, 0, 1, RemovalKind::Eviction); // -> level 1
     const auto *rec = cls.peek(st, 0);
@@ -143,7 +150,7 @@ TEST(Complete, EvictionDemotionRaisesRat)
 
 TEST(Complete, InvalidationDemotionKeepsRat)
 {
-    CompleteClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Complete));
     TestLine st(cls);
     cls.onPrivateRemoval(st, 0, 1, RemovalKind::Invalidation);
     EXPECT_EQ(cls.peek(st, 0)->ratLevel, 0u);
@@ -155,7 +162,7 @@ TEST(Complete, InvalidationDemotionKeepsRat)
 
 TEST(Complete, ShortCutPromotesAtPctDespiteRat)
 {
-    CompleteClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Complete));
     TestLine st(cls);
     cls.onPrivateRemoval(st, 0, 1, RemovalKind::Eviction); // RAT -> 16
     // With an invalid way in the requester's set, PCT applies (§3.3).
@@ -166,7 +173,7 @@ TEST(Complete, ShortCutPromotesAtPctDespiteRat)
 
 TEST(Complete, RatResetsWhenClassifiedPrivate)
 {
-    CompleteClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Complete));
     TestLine st(cls);
     cls.onPrivateRemoval(st, 0, 1, RemovalKind::Eviction); // level 1
     EXPECT_EQ(cls.peek(st, 0)->ratLevel, 1u);
@@ -180,9 +187,9 @@ TEST(Complete, RatResetsWhenClassifiedPrivate)
 
 TEST(Complete, RatSaturatesAtMaxLevel)
 {
-    auto cfg = cfg4();
+    auto cfg = cfg4(ClassifierKind::Complete);
     cfg.nRatLevels = 4; // levels 4, 8, 12, 16
-    CompleteClassifier cls(cfg, false);
+    LocalityClassifier cls(cfg);
     TestLine st(cls);
     for (int i = 0; i < 10; ++i)
         cls.onPrivateRemoval(st, 0, 1, RemovalKind::Eviction);
@@ -191,7 +198,7 @@ TEST(Complete, RatSaturatesAtMaxLevel)
 
 TEST(Complete, WriteByOtherResetsRemoteUtil)
 {
-    CompleteClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Complete));
     TestLine st(cls);
     cls.onPrivateRemoval(st, 0, 1, RemovalKind::Invalidation); // demote
     cls.onRemoteAccess(st, 0, ctxWithInvalidWay());
@@ -204,7 +211,7 @@ TEST(Complete, WriteByOtherResetsRemoteUtil)
 
 TEST(Complete, WriterKeepsOwnUtil)
 {
-    CompleteClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Complete));
     TestLine st(cls);
     cls.onPrivateRemoval(st, 3, 1, RemovalKind::Invalidation);
     cls.onRemoteAccess(st, 3, ctxWithInvalidWay());
@@ -214,7 +221,7 @@ TEST(Complete, WriterKeepsOwnUtil)
 
 TEST(Complete, OneWayNeverPromotes)
 {
-    CompleteClassifier cls(cfg4(), true);
+    LocalityClassifier cls(oneWay(cfg4(ClassifierKind::Complete)));
     TestLine st(cls);
     cls.onPrivateRemoval(st, 0, 1, RemovalKind::Invalidation);
     for (int i = 0; i < 100; ++i)
@@ -224,9 +231,9 @@ TEST(Complete, OneWayNeverPromotes)
 
 TEST(Complete, LearningShortcutSeedsFromMajority)
 {
-    auto cfg = cfg4();
+    auto cfg = cfg4(ClassifierKind::Complete);
     cfg.completeLearningShortcut = true;
-    CompleteClassifier cls(cfg, false);
+    LocalityClassifier cls(cfg);
     TestLine st(cls);
     // Cores 0-2 touch the line and end up remote.
     for (CoreId c = 0; c < 3; ++c) {
@@ -245,7 +252,8 @@ TEST(Complete, LearningShortcutSeedsFromMajority)
 
 TEST(Complete, ShortcutDisabledKeepsPaperBehavior)
 {
-    CompleteClassifier cls(cfg4(), false); // default: no short-cut
+    // Default: no short-cut.
+    LocalityClassifier cls(cfg4(ClassifierKind::Complete));
     TestLine st(cls);
     for (CoreId c = 0; c < 3; ++c) {
         cls.classify(st, c);
@@ -262,7 +270,7 @@ TEST(Complete, ShortcutDisabledKeepsPaperBehavior)
 
 TEST(Limited, FreeEntriesAllocatePrivate)
 {
-    LimitedClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Limited));
     TestLine st(cls);
     EXPECT_EQ(cls.classify(st, 0), Mode::Private);
     EXPECT_EQ(cls.classify(st, 1), Mode::Private);
@@ -273,7 +281,7 @@ TEST(Limited, FreeEntriesAllocatePrivate)
 
 TEST(Limited, UntrackedUsesMajorityVote)
 {
-    LimitedClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Limited));
     TestLine st(cls);
     // Track 0,1,2 as active private sharers.
     for (CoreId c = 0; c < 3; ++c) {
@@ -287,7 +295,7 @@ TEST(Limited, UntrackedUsesMajorityVote)
 
 TEST(Limited, MajorityRemoteSeedsRemote)
 {
-    LimitedClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Limited));
     TestLine st(cls);
     // Track 0,1,2; demote all three (invalidation, low util), which
     // also makes them inactive.
@@ -305,7 +313,7 @@ TEST(Limited, MajorityRemoteSeedsRemote)
 
 TEST(Limited, ActiveSharersNotReplaced)
 {
-    LimitedClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Limited));
     TestLine st(cls);
     for (CoreId c = 0; c < 3; ++c) {
         cls.classify(st, c);
@@ -320,7 +328,7 @@ TEST(Limited, ActiveSharersNotReplaced)
 
 TEST(Limited, InactivePrivateReplaced)
 {
-    LimitedClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Limited));
     TestLine st(cls);
     for (CoreId c = 0; c < 3; ++c) {
         cls.classify(st, c);
@@ -336,7 +344,7 @@ TEST(Limited, InactivePrivateReplaced)
 
 TEST(Limited, RemoteSharerInactiveAfterWriteByOther)
 {
-    LimitedClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Limited));
     TestLine st(cls);
     for (CoreId c = 0; c < 3; ++c) {
         cls.classify(st, c);
@@ -355,7 +363,7 @@ TEST(Limited, RemoteSharerInactiveAfterWriteByOther)
 
 TEST(Limited, UntrackedRemovalFallsBackToVote)
 {
-    LimitedClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Limited));
     TestLine st(cls);
     for (CoreId c = 0; c < 3; ++c) {
         cls.classify(st, c);
@@ -369,9 +377,9 @@ TEST(Limited, UntrackedRemovalFallsBackToVote)
 
 TEST(Limited, MajorityVoteTieIsPrivate)
 {
-    auto cfg = cfg4();
+    auto cfg = cfg4(ClassifierKind::Limited);
     cfg.classifierK = 2;
-    LimitedClassifier cls(cfg, false);
+    LocalityClassifier cls(cfg);
     TestLine st(cls);
     cls.classify(st, 0);
     cls.onPrivateGrant(st, 0, 5);
@@ -384,7 +392,7 @@ TEST(Limited, MajorityVoteTieIsPrivate)
 
 TEST(Limited, UntrackedRemoteCannotEarnPromotion)
 {
-    LimitedClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Limited));
     TestLine st(cls);
     // Fill all 3 entries with *active remote* sharers so there is no
     // replacement candidate but the majority is Remote.
@@ -401,7 +409,7 @@ TEST(Limited, UntrackedRemoteCannotEarnPromotion)
 
 TEST(Limited, PeekFindsOnlyTracked)
 {
-    LimitedClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Limited));
     TestLine st(cls);
     cls.classify(st, 4);
     EXPECT_NE(cls.peek(st, 4), nullptr);
@@ -414,7 +422,7 @@ TEST(Limited, PeekFindsOnlyTracked)
 
 TEST(Timestamp, PromotionAtPctWhenCheckPasses)
 {
-    TimestampClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Timestamp));
     TestLine st(cls);
     cls.onPrivateRemoval(st, 0, 1, RemovalKind::Invalidation);
     // Invalid way: check passes trivially; promote on the 4th access.
@@ -425,7 +433,7 @@ TEST(Timestamp, PromotionAtPctWhenCheckPasses)
 
 TEST(Timestamp, FailedCheckResetsUtilToOne)
 {
-    TimestampClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Timestamp));
     TestLine st(cls);
     cls.onPrivateRemoval(st, 0, 1, RemovalKind::Invalidation);
 
@@ -442,7 +450,7 @@ TEST(Timestamp, FailedCheckResetsUtilToOne)
 
 TEST(Timestamp, PassingCheckAccrues)
 {
-    TimestampClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Timestamp));
     TestLine st(cls);
     cls.onPrivateRemoval(st, 0, 1, RemovalKind::Invalidation);
     // The line is re-accessed more recently than the L1 set's LRU
@@ -459,7 +467,7 @@ TEST(Timestamp, PassingCheckAccrues)
 
 TEST(Timestamp, FirstAccessWithColdLineFailsCheck)
 {
-    TimestampClassifier cls(cfg4(), false);
+    LocalityClassifier cls(cfg4(ClassifierKind::Timestamp));
     TestLine st(cls);
     cls.onPrivateRemoval(st, 0, 1, RemovalKind::Invalidation);
     // Never accessed before (lastAccess 0) and a fully valid hot set:
@@ -480,10 +488,10 @@ class LimitedK : public ::testing::TestWithParam<std::uint32_t>
 TEST_P(LimitedK, TracksExactlyKCoresThenVotes)
 {
     const std::uint32_t k = GetParam();
-    auto cfg = cfg4();
+    auto cfg = cfg4(ClassifierKind::Limited);
     cfg.numCores = 16;
     cfg.classifierK = k;
-    LimitedClassifier cls(cfg, false);
+    LocalityClassifier cls(cfg);
     ASSERT_EQ(cls.recordsPerLine(), k);
     TestLine st(cls);
     // k active private sharers take every record...
@@ -562,30 +570,29 @@ exercise(LocalityClassifier &cls, LineRecords recs, std::uint32_t cores)
 TEST_P(Refill, ReusedSlotPresentsFreshRecords)
 {
     const RefillCase &p = GetParam();
-    auto cfg = cfg4();
+    auto cfg = cfg4(p.kind);
     cfg.numCores = p.cores;
-    cfg.classifierKind = p.kind;
     cfg.classifierK = p.k;
-    auto cls = LocalityClassifier::create(cfg);
-    ASSERT_EQ(cls->recordsPerLine(), p.records);
+    LocalityClassifier cls(cfg);
+    ASSERT_EQ(cls.recordsPerLine(), p.records);
 
     L2Cache l2(2, 2, cfg.wordsPerLine()); // 4 slots
-    l2.setRecordsPerLine(cls->recordsPerLine());
+    l2.setRecordsPerLine(cls.recordsPerLine());
     auto slot = l2.entryAt(1, 0);
     ASSERT_EQ(slot.records().size(), p.records);
 
     // Reference decisions on a never-used record set.
-    TestLine fresh(*cls);
-    const std::vector<int> want = exercise(*cls, fresh, p.cores);
+    TestLine fresh(cls);
+    const std::vector<int> want = exercise(cls, fresh, p.cores);
 
     // Use the slot, evict it, and use it again: same decisions.
     slot.setValid(true);
-    exercise(*cls, slot.records(), p.cores);
+    exercise(cls, slot.records(), p.cores);
     l2.invalidate(slot);
     for (const CoreLocality &r : slot.records())
         ASSERT_TRUE(r == CoreLocality{});
     slot.setValid(true);
-    EXPECT_EQ(exercise(*cls, slot.records(), p.cores), want);
+    EXPECT_EQ(exercise(cls, slot.records(), p.cores), want);
     // The neighbours' records were never touched.
     for (const CoreLocality &r : l2.entryAt(1, 1).records())
         EXPECT_TRUE(r == CoreLocality{});
@@ -598,6 +605,7 @@ INSTANTIATE_TEST_SUITE_P(
         RefillCase{"Limited3", ClassifierKind::Limited, 3, 16, 3},
         RefillCase{"Limited7", ClassifierKind::Limited, 7, 16, 7},
         RefillCase{"Limited9", ClassifierKind::Limited, 9, 16, 9},
+        RefillCase{"Limited20", ClassifierKind::Limited, 20, 16, 16},
         RefillCase{"Complete256", ClassifierKind::Complete, 3, 256, 256},
         RefillCase{"Timestamp256", ClassifierKind::Timestamp, 3, 256,
                    256},
@@ -622,10 +630,10 @@ TEST(Records, RatLevelHoldsMaxLevel)
 {
     // The 7-bit level field must hold the deepest level a config may
     // ask for (SystemConfig::validate caps nRatLevels).
-    auto cfg = cfg4();
+    auto cfg = cfg4(ClassifierKind::Complete);
     cfg.nRatLevels = kMaxRatLevels;
     cfg.ratMax = 4 * kMaxRatLevels;
-    CompleteClassifier cls(cfg, false);
+    LocalityClassifier cls(cfg);
     TestLine st(cls);
     for (std::uint32_t i = 0; i < 2 * kMaxRatLevels; ++i)
         cls.onPrivateRemoval(st, 0, 1, RemovalKind::Eviction);
@@ -633,42 +641,76 @@ TEST(Records, RatLevelHoldsMaxLevel)
 }
 
 // ---------------------------------------------------------------------
-// Factory / baseline
+// Configuration: every kind is a record count plus a promotion rule
 // ---------------------------------------------------------------------
+
+/**
+ * Remote accesses core 0 needs to earn promotion once an eviction has
+ * demoted it and raised its RAT level to RATmax = 16; each access
+ * after the first passes the Timestamp check. 0 when 100 accesses do
+ * not promote.
+ */
+std::uint32_t
+accessesToPromote(LocalityClassifier &cls, LineRecords recs)
+{
+    cls.classify(recs, 0);
+    cls.onPrivateRemoval(recs, 0, 1, RemovalKind::Eviction);
+    for (std::uint32_t n = 1; n <= 100; ++n)
+        if (cls.onRemoteAccess(recs, 0, ctxFullSet(100 + n, 0)))
+            return n;
+    return 0;
+}
 
 TEST(Factory, CreatesConfiguredKind)
 {
-    auto cfg = cfg4();
-    cfg.classifierKind = ClassifierKind::Complete;
-    EXPECT_NE(dynamic_cast<CompleteClassifier *>(
-                  LocalityClassifier::create(cfg).get()),
-              nullptr);
-    cfg.classifierKind = ClassifierKind::Limited;
-    EXPECT_NE(dynamic_cast<LimitedClassifier *>(
-                  LocalityClassifier::create(cfg).get()),
-              nullptr);
-    cfg.classifierKind = ClassifierKind::Timestamp;
-    EXPECT_NE(dynamic_cast<TimestampClassifier *>(
-                  LocalityClassifier::create(cfg).get()),
-              nullptr);
-    cfg.classifierKind = ClassifierKind::AlwaysPrivate;
-    EXPECT_NE(dynamic_cast<AlwaysPrivateClassifier *>(
-                  LocalityClassifier::create(cfg).get()),
-              nullptr);
+    struct Case
+    {
+        const char *name;
+        ClassifierKind kind;
+        std::uint32_t k;
+        std::uint32_t records; //!< expected recordsPerLine() at 8 cores
+        std::uint32_t promoteAfter; //!< expected accessesToPromote()
+    };
+    const Case cases[] = {
+        // RAT rule: the eviction raised the threshold to RATmax.
+        {"Complete", ClassifierKind::Complete, 3, 8, 16},
+        {"Limited_3", ClassifierKind::Limited, 3, 3, 16},
+        {"Limited_8", ClassifierKind::Limited, 8, 8, 16},
+        // k beyond the core count tracks every core, like Complete.
+        {"Limited_12", ClassifierKind::Limited, 12, 8, 16},
+        // Timestamp rule: PCT = 4, counting from the first access
+        // (which fails the check against a never-accessed line).
+        {"Timestamp", ClassifierKind::Timestamp, 3, 8, 4},
+        // No records: never demoted, so never promoted either.
+        {"AlwaysPrivate", ClassifierKind::AlwaysPrivate, 3, 0, 0},
+    };
+    for (const Case &c : cases) {
+        auto cfg = cfg4(c.kind);
+        cfg.classifierK = c.k;
+        LocalityClassifier cls(cfg);
+        EXPECT_EQ(cls.recordsPerLine(), c.records) << c.name;
+        TestLine st(cls);
+        EXPECT_EQ(accessesToPromote(cls, st), c.promoteAfter) << c.name;
+        // One record per core: every core is tracked, none votes.
+        if (c.records == cfg.numCores) {
+            for (CoreId core = 0; core < cfg.numCores; ++core)
+                EXPECT_NE(cls.peek(st, core), nullptr) << c.name;
+        }
+    }
 }
 
 TEST(Factory, OneWayFlagFollowsProtocolKind)
 {
-    auto cfg = cfg4();
+    auto cfg = cfg4(ClassifierKind::Limited);
     cfg.protocolKind = ProtocolKind::AdaptOneWay;
-    EXPECT_TRUE(LocalityClassifier::create(cfg)->oneWay());
+    EXPECT_TRUE(LocalityClassifier(cfg).oneWay());
     cfg.protocolKind = ProtocolKind::Adaptive;
-    EXPECT_FALSE(LocalityClassifier::create(cfg)->oneWay());
+    EXPECT_FALSE(LocalityClassifier(cfg).oneWay());
 }
 
 TEST(AlwaysPrivate, NeverDemotes)
 {
-    AlwaysPrivateClassifier cls(cfg4());
+    LocalityClassifier cls(cfg4(ClassifierKind::AlwaysPrivate));
     TestLine st(cls);
     EXPECT_EQ(cls.classify(st, 0), Mode::Private);
     EXPECT_EQ(cls.onPrivateRemoval(st, 0, 0, RemovalKind::Eviction),
@@ -678,7 +720,8 @@ TEST(AlwaysPrivate, NeverDemotes)
 
 TEST(RemoteUtil, SaturatesAtRatMax)
 {
-    CompleteClassifier cls(cfg4(), true); // one-way: never promotes
+    // One-way: never promotes.
+    LocalityClassifier cls(oneWay(cfg4(ClassifierKind::Complete)));
     TestLine st(cls);
     cls.onPrivateRemoval(st, 0, 1, RemovalKind::Invalidation);
     for (int i = 0; i < 100; ++i)

@@ -96,33 +96,63 @@ signatureFor(const SystemConfig &cfg)
     return runDigest(cfg).signature;
 }
 
-std::uint64_t
-runSignature(ClassifierKind k)
+/** @p c under the Adapt1-way protocol (§3.7). */
+SystemConfig
+oneWay(SystemConfig c)
 {
-    return signatureFor(cfg8(k));
+    c.protocolKind = ProtocolKind::AdaptOneWay;
+    return c;
+}
+
+/** 8-core Limited_k. */
+SystemConfig
+limited8(std::uint32_t k)
+{
+    SystemConfig c = cfg8(ClassifierKind::Limited);
+    c.classifierK = k;
+    return c;
+}
+
+/** 8-core Complete with the learning short-cut (§5.3). */
+SystemConfig
+completeShortcut8()
+{
+    SystemConfig c = cfg8(ClassifierKind::Complete);
+    c.completeLearningShortcut = true;
+    return c;
 }
 
 struct Golden
 {
-    ClassifierKind kind;
     const char *name;
+    SystemConfig cfg;
     std::uint64_t signature;
 };
 
-// Golden digests of the seed behavior. Regenerate by running this
-// test and copying the printed "actual" values.
+// Golden digests of the seed behavior, one per classifier variant.
+// Regenerate by running this test and copying the printed "actual"
+// values. Limited_k with k = N tracks every core, so it must digest
+// exactly like Complete.
 const Golden kGoldens[] = {
-    {ClassifierKind::Complete, "Complete", 0x12975edbf2f6aa50ULL},
-    {ClassifierKind::Limited, "Limited", 0x4a9d58c62567b5f4ULL},
-    {ClassifierKind::Timestamp, "Timestamp", 0xa5fd7979994d925aULL},
-    {ClassifierKind::AlwaysPrivate, "AlwaysPrivate",
+    {"Complete", cfg8(ClassifierKind::Complete), 0x12975edbf2f6aa50ULL},
+    {"Limited", cfg8(ClassifierKind::Limited), 0x4a9d58c62567b5f4ULL},
+    {"Timestamp", cfg8(ClassifierKind::Timestamp), 0xa5fd7979994d925aULL},
+    {"AlwaysPrivate", cfg8(ClassifierKind::AlwaysPrivate),
      0xffa1b2765227b05eULL},
+    {"Complete + learning short-cut", completeShortcut8(),
+     0x5352ab22bfe8d891ULL},
+    {"Complete Adapt1-way", oneWay(cfg8(ClassifierKind::Complete)),
+     0xac85504f702d9920ULL},
+    {"Limited_3 Adapt1-way", oneWay(cfg8(ClassifierKind::Limited)),
+     0x2e09c00607c6f2b7ULL},
+    {"Limited_1", limited8(1), 0xc444d30998310cfcULL},
+    {"Limited_8 (k = N)", limited8(8), 0x12975edbf2f6aa50ULL},
 };
 
 TEST(Determinism, GoldenHashPerClassifierVariant)
 {
     for (const auto &g : kGoldens) {
-        const std::uint64_t sig = runSignature(g.kind);
+        const std::uint64_t sig = signatureFor(g.cfg);
         EXPECT_EQ(sig, g.signature)
             << g.name << " stats signature drifted; actual 0x"
             << std::hex << sig
@@ -133,8 +163,8 @@ TEST(Determinism, GoldenHashPerClassifierVariant)
 
 TEST(Determinism, RepeatedRunsAreBitIdentical)
 {
-    EXPECT_EQ(runSignature(ClassifierKind::Limited),
-              runSignature(ClassifierKind::Limited));
+    EXPECT_EQ(signatureFor(cfg8(ClassifierKind::Limited)),
+              signatureFor(cfg8(ClassifierKind::Limited)));
 }
 
 // Golden digests per interconnect topology (Limited classifier).
@@ -142,17 +172,23 @@ TEST(Determinism, RepeatedRunsAreBitIdentical)
 // fabric is pinned to the pre-NetworkModel seed behavior, and the
 // other fabrics are pinned so topology-model drift is as loud as
 // protocol drift. Regenerate like the classifier goldens.
-const Golden kNetworkGoldens[] = {
-    {ClassifierKind::Limited, "mesh", 0x4a9d58c62567b5f4ULL},
-    {ClassifierKind::Limited, "torus", 0xafe9d14444e7f751ULL},
-    {ClassifierKind::Limited, "ring", 0xfa665e0a792f121dULL},
-    {ClassifierKind::Limited, "xbar", 0x5e9137e28be7ecb7ULL},
+struct NetGolden
+{
+    const char *name; //!< network factory key
+    std::uint64_t signature;
+};
+
+const NetGolden kNetworkGoldens[] = {
+    {"mesh", 0x4a9d58c62567b5f4ULL},
+    {"torus", 0xafe9d14444e7f751ULL},
+    {"ring", 0xfa665e0a792f121dULL},
+    {"xbar", 0x5e9137e28be7ecb7ULL},
 };
 
 TEST(Determinism, GoldenHashPerNetworkTopology)
 {
     for (const auto &g : kNetworkGoldens) {
-        SystemConfig cfg = cfg8(g.kind);
+        SystemConfig cfg = cfg8(ClassifierKind::Limited);
         applyNetworkName(cfg, g.name);
         const std::uint64_t sig = signatureFor(cfg);
         EXPECT_EQ(sig, g.signature)
@@ -169,11 +205,11 @@ TEST(Determinism, GoldenHashPerNetworkTopology)
 // engine (system/sharded.hh) makes the suite cheap enough to keep in
 // tier 1, and each golden is checked under it too (--sim-threads 4
 // must be bit-identical to serial).
-const Golden kNetworkGoldens64[] = {
-    {ClassifierKind::Limited, "mesh", 0xd6a0b30411599c9eULL},
-    {ClassifierKind::Limited, "torus", 0x1bb3bc2cef6d5e3cULL},
-    {ClassifierKind::Limited, "ring", 0x8d1941334706d3d9ULL},
-    {ClassifierKind::Limited, "xbar", 0x4be36b36d2539cf5ULL},
+const NetGolden kNetworkGoldens64[] = {
+    {"mesh", 0xd6a0b30411599c9eULL},
+    {"torus", 0x1bb3bc2cef6d5e3cULL},
+    {"ring", 0x8d1941334706d3d9ULL},
+    {"xbar", 0x4be36b36d2539cf5ULL},
 };
 
 SystemConfig
@@ -216,15 +252,15 @@ TEST(Determinism, GoldenHash64CoresPerNetworkTopology)
 // entry, so every second sharer overflows the list and the next write
 // broadcasts its invalidation (§3.1). None of the goldens above sends
 // a single broadcast; these pin the overflow path.
-const Golden kAckwise1Goldens[] = {
-    {ClassifierKind::Limited, "mesh", 0x4288e0f641e70545ULL},
-    {ClassifierKind::Limited, "xbar", 0xaacdea687524a674ULL},
+const NetGolden kAckwise1Goldens[] = {
+    {"mesh", 0x4288e0f641e70545ULL},
+    {"xbar", 0xaacdea687524a674ULL},
 };
 
 TEST(Determinism, GoldenHashAckwise1Broadcast)
 {
     for (const auto &g : kAckwise1Goldens) {
-        SystemConfig cfg = cfg8(g.kind);
+        SystemConfig cfg = cfg8(ClassifierKind::Limited);
         cfg.ackwisePointers = 1;
         applyNetworkName(cfg, g.name);
         const RunDigest d = runDigest(cfg);
@@ -247,9 +283,9 @@ TEST(Determinism, FullMapMatchesAckwiseWithoutBroadcasts)
     // broadcast must therefore digest identically under fullmap.
     std::vector<SystemConfig> cfgs;
     for (const auto &g : kGoldens)
-        cfgs.push_back(cfg8(g.kind));
+        cfgs.push_back(g.cfg);
     for (const auto &g : kNetworkGoldens) {
-        cfgs.push_back(cfg8(g.kind));
+        cfgs.push_back(cfg8(ClassifierKind::Limited));
         applyNetworkName(cfgs.back(), g.name);
     }
     for (const auto &g : kNetworkGoldens64)
@@ -287,8 +323,12 @@ TEST(Determinism, SweepRunnerSerialEqualsJobs4)
 {
     std::vector<harness::Job> jobs;
     for (const auto &g : kGoldens) {
+        // The row's classifier variant on the 64-core default machine.
         SystemConfig cfg = defaultConfig();
-        cfg.classifierKind = g.kind;
+        cfg.classifierKind = g.cfg.classifierKind;
+        cfg.classifierK = g.cfg.classifierK;
+        cfg.protocolKind = g.cfg.protocolKind;
+        cfg.completeLearningShortcut = g.cfg.completeLearningShortcut;
         jobs.push_back({"radix", cfg, std::string("det ") + g.name});
     }
 

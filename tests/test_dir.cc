@@ -261,13 +261,13 @@ TEST(SharerListStorage, WideOrganizationsSpillAndCopy)
 TEST(DirectoryFootprint, DefaultConfigWithin128BytesPerLine)
 {
     const SystemConfig cfg; // Table 1: 64 cores, ACKwise_4, Limited_3
-    const auto cls = LocalityClassifier::create(cfg);
-    EXPECT_EQ(cls->recordsPerLine(), 3u);
+    const LocalityClassifier cls(cfg);
+    EXPECT_EQ(cls.recordsPerLine(), 3u);
     const std::size_t per_line =
-        sizeof(L2Meta) + cls->recordsPerLine() * sizeof(CoreLocality);
+        sizeof(L2Meta) + cls.recordsPerLine() * sizeof(CoreLocality);
     EXPECT_LE(per_line, 128u)
         << "L2Meta " << sizeof(L2Meta) << " B + records "
-        << cls->recordsPerLine() << " x " << sizeof(CoreLocality)
+        << cls.recordsPerLine() << " x " << sizeof(CoreLocality)
         << " B";
 }
 

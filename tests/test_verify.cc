@@ -7,6 +7,7 @@
  */
 
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -175,21 +176,45 @@ TEST(Fuzz, ShrinkerPreservesLockBalance)
 // Enumerator (verify/enumerate.hh)
 // ---------------------------------------------------------------------------
 
+/** One exhaustive enumeration and its pinned state-space size. */
+struct EnumCount
+{
+    const char *protocol;
+    std::uint32_t cores;
+    std::uint64_t states;
+    std::uint64_t transitions;
+};
+
 TEST(Enumerate, OneLineExhaustiveAndCleanUnderEveryProtocol)
 {
+    // The exact reachable space, so a classifier or protocol change
+    // that adds or merges states is as loud as a golden digest.
+    const EnumCount counts[] = {
+        {"lacc", 2, 1299, 7794},
+        {"fullmap", 2, 815, 4890},
+        {"lacc", 3, 34815, 313335},
+    };
     for (const auto &proto : protocolNames()) {
+        bool pinned = false;
+        for (const EnumCount &c : counts)
+            pinned |= proto == c.protocol;
+        EXPECT_TRUE(pinned) << proto << " has no pinned count";
+    }
+    for (const EnumCount &want : counts) {
         verify::EnumOptions opt;
-        opt.cores = 2;
+        opt.cores = want.cores;
         opt.lines = 1;
-        opt.protocol = proto;
+        opt.protocol = want.protocol;
         const verify::EnumResult res = verify::enumerate(opt);
-        EXPECT_TRUE(res.exhaustive) << proto;
+        const std::string what =
+            std::string(want.protocol) + " " +
+            std::to_string(want.cores) + "c/1l";
+        EXPECT_TRUE(res.exhaustive) << what;
         EXPECT_TRUE(res.violations.empty())
-            << proto << ": " << res.violations.front() << "\npath:\n"
+            << what << ": " << res.violations.front() << "\npath:\n"
             << res.counterexample;
-        // The reachable space is non-trivial (hundreds of states even
-        // with one line) and deterministic.
-        EXPECT_GT(res.states, 100u) << proto;
+        EXPECT_EQ(res.states, want.states) << what;
+        EXPECT_EQ(res.transitions, want.transitions) << what;
     }
 }
 
